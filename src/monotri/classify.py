@@ -162,18 +162,21 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     return True
 
 
+def _galois_kind(p: int, d: int) -> GaloisKind:
+    """Galois kind of an irreducible family from delta = d alone."""
+    if d % p == 0:
+        if p % 4 == 1 and d > 0 and arith.exact_square_root(d // p) is not None:
+            return GaloisKind.FROBENIUS_P_PMINUS1
+        if p % 4 == 3 and d < 0 and arith.exact_square_root(-d // p) is not None:
+            return GaloisKind.HALF_TIMES_C2
+    return GaloisKind.FULL_TIMES_C2
+
+
 def galois_group(fam: TrinomialFamily) -> GaloisClass:
     """Galois class of f from the sign pattern of delta = +-p y^2."""
     if not family_is_irreducible(fam):
         raise Reducible(f"family {fam} is reducible over Q")
-    p = fam.p
-    d = delta(fam)
-    if d % p == 0:
-        if p % 4 == 1 and d > 0 and arith.exact_square_root(d // p) is not None:
-            return GaloisClass.for_kind(GaloisKind.FROBENIUS_P_PMINUS1, p)
-        if p % 4 == 3 and d < 0 and arith.exact_square_root(-d // p) is not None:
-            return GaloisClass.for_kind(GaloisKind.HALF_TIMES_C2, p)
-    return GaloisClass.for_kind(GaloisKind.FULL_TIMES_C2, p)
+    return GaloisClass.for_kind(_galois_kind(fam.p, delta(fam)), fam.p)
 
 
 def case_label(fam: TrinomialFamily) -> CaseLabel:
@@ -263,6 +266,11 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
     """
     if not family_is_irreducible(fam):
         raise Reducible(f"family {fam} is reducible over Q")
+    return _kkr(fam, swan_disc_f(fam), **budget)
+
+
+def _kkr(fam: TrinomialFamily, disc: int, **budget):
+    """kkr_monogenic for an irreducible family whose discriminant is disc."""
     p, a, b = fam.p, fam.a, fam.b
     reasons = []
     if b not in (1, -1):
@@ -270,9 +278,7 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
         return False, reasons
     reasons.append("g(0) squarefree")
     t = GeneralTrinomial(2 * p, p, a, b**p)
-    verdict = indexcheck.jks_index_free(
-        t, p, check_irreducible=False, disc=swan_disc_f(fam)
-    )
+    verdict = indexcheck.jks_index_free(t, p, check_irreducible=False, disc=disc)
     if verdict.divides_index:
         reasons.append(f"p={p} divides the index ({verdict.detail})")
     else:
@@ -337,7 +343,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
             fam, d, disc, False, case, None, None, None, tuple(reasons)
         )
 
-    galois = galois_group(fam)
+    galois = GaloisClass.for_kind(_galois_kind(fam.p, d), fam.p)
     monogenic: bool | None
     field_disc = None
 
@@ -351,7 +357,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
         if p_divides:
             reasons.append(f"classification {theorem_item(case, fam.p)}")
             try:
-                monogenic, kkr_reasons = kkr_monogenic(fam, **budget)
+                monogenic, kkr_reasons = _kkr(fam, disc, **budget)
                 reasons.extend(kkr_reasons)
             except FactorizationBudgetExceeded as exc:
                 monogenic = None

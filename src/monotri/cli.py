@@ -164,13 +164,11 @@ def _parse_family(args) -> TrinomialFamily:
     try:
         return TrinomialFamily(args.p, args.a, args.b)
     except ValueError as exc:
-        raise SystemExit2(EXIT_USAGE, f"invalid family: {exc}")
+        raise UsageError(f"invalid family: {exc}")
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, code, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(code)
+class UsageError(Exception):
+    """Arguments that parse but make no valid request; exit code 1."""
 
 
 def cmd_classify(args) -> int:
@@ -190,11 +188,11 @@ def cmd_enumerate(args) -> int:
     p_set = sorted(set(args.p))
     for p in p_set:
         if not arith.is_prime(p) or p < 3:
-            raise SystemExit2(EXIT_USAGE, f"p={p} is not an odd prime")
+            raise UsageError(f"p={p} is not an odd prime")
     b_set = sorted(set(args.b))
     lo, hi = args.a_min, args.a_max
     if lo > hi:
-        raise SystemExit2(EXIT_USAGE, "empty a range")
+        raise UsageError("empty a range")
     for p in p_set:
         for a in range(lo, hi + 1):
             if a == 0:
@@ -252,13 +250,15 @@ def corollary_scan_rows(z_max: int, budget: dict):
             if a == z:
                 continue
             other = TrinomialFamily(p, a, -1)
-            if not cls.family_is_irreducible(other):
-                continue
-            g = cls.galois_group(other)
-            if g.kind is not cls.GaloisKind.FROBENIUS_P_PMINUS1:
+            # only delta = +p y^2 can give C_p : C_{p-1}
+            if cls.case_label(other).y_witness is None:
                 continue
             oc = cls.classify(other, **budget)
-            if oc.monogenic:
+            if (
+                oc.irreducible
+                and oc.galois.kind is cls.GaloisKind.FROBENIUS_P_PMINUS1
+                and oc.monogenic
+            ):
                 unique = False
         row["unique_a"] = unique
         row["consistent"] = expected and unique
@@ -344,13 +344,11 @@ def cmd_crosscheck(args) -> int:
 def cmd_galois_sample(args) -> int:
     cfg = _config_from(args)
     fam = _parse_family(args)
-    try:
-        claimed = cls.galois_group(fam)
-        report = galois_verify.frobenius_sample(
-            fam, args.prime_budget, seed=args.seed
-        )
-    except Reducible as exc:
-        raise SystemExit2(EXIT_USAGE, str(exc))
+    prime_budget = (
+        cfg.prime_budget if args.prime_budget is None else args.prime_budget
+    )
+    claimed = cls.galois_group(fam)
+    report = galois_verify.frobenius_sample(fam, prime_budget)
     verdict = galois_verify.consistency_check(
         fam, claimed, report, rel_tol=cfg.split_rel_tol
     )
@@ -436,13 +434,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 means Unknown here
         return EXIT_USAGE if exc.code else EXIT_OK
-    if getattr(args, "prime_budget", 1) is None:
-        args.prime_budget = _config_from(args).prime_budget
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        return exc.code
-    except Reducible as exc:
+    except (UsageError, Reducible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,15 +74,12 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
     return OrderSpectrum(kind, p, frozenset(orders))
 
 
-def frobenius_sample(
-    fam: TrinomialFamily, prime_budget: int, seed: int = 0
-) -> SampleReport:
+def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
     """Record Frobenius orders (lcm of the factor-degree pattern mod ell)
     over the first `prime_budget` unramified primes.
 
     Ramified primes are skipped and not counted.  The prime walk is the
-    deterministic increasing one; the seed is accepted for interface
-    uniformity only.
+    deterministic increasing one.
     """
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")

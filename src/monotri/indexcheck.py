@@ -23,7 +23,6 @@ from .poly import IntPolynomial, ModPolynomial, gcd_mod, reduce_mod, trinomial
 
 __all__ = [
     "GeneralTrinomial",
-    "JksContext",
     "IndexVerdict",
     "MonogenicityReport",
     "NotADiscriminantPrime",
@@ -77,25 +76,6 @@ class GeneralTrinomial:
         return self.m // self.d0
 
 
-@dataclass
-class JksContext:
-    """Derived quantities for one (trinomial, q) criterion evaluation."""
-
-    q: int
-    d0: int
-    m1: int
-    n1: int
-    j: int = 0
-    l: int = 0
-    a1: int | None = None
-    a2: int | None = None
-    b1: int | None = None
-    b2: int | None = None
-    r: int | None = None
-    s: int | None = None
-    s_prime: int | None = None
-
-
 @dataclass(frozen=True)
 class IndexVerdict:
     q: int
@@ -104,41 +84,21 @@ class IndexVerdict:
     detail: str
 
 
-def _nth_root_exact(v: int, k: int):
-    """Integer k-th root of v if exact, else None (k odd allows v<0)."""
-    if v < 0:
-        if k % 2 == 0:
-            return None
-        r = _nth_root_exact(-v, k)
-        return None if r is None else -r
-    r = round(v ** (1.0 / k)) if v.bit_length() < 500 else None
-    if r is None or r**k != v:
-        # fall back to exact bisection for huge values or float misses
-        lo, hi = 0, 1 << (v.bit_length() // k + 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**k < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        r = lo
-    return r if r**k == v else None
-
-
 def swan_general_discriminant(t: GeneralTrinomial) -> int:
-    """Exact discriminant of x^n + A x^m + B.
+    """Exact discriminant of x^n + A x^m + B by Swan's closed form.
 
-    Uses the closed form b^{p(p-1)} p^{2p} (a^2 - 4 b^p)^p when the trinomial
-    has the shape x^{2p} + a x^p + b^p for an odd prime p; otherwise falls
-    back to the resultant-based computation.
+    With d0 = gcd(n, m), n = n1 d0 and m = m1 d0 (Swan 1962, Pacific J.
+    Math. 12, Thm 2):
+
+        (-1)^{n(n-1)/2} B^{m-1}
+            [n^{n1} B^{n1-m1} - (-1)^{n1} (n-m)^{n1-m1} m^{m1} A^{n1}]^{d0}
     """
     n, m, A, B = t.n, t.m, t.A, t.B
-    if n == 2 * m and m % 2 == 1 and arith.is_prime(m):
-        b = _nth_root_exact(B, m)
-        if b is not None:
-            p = m
-            return b ** (p * (p - 1)) * p ** (2 * p) * (A * A - 4 * B) ** p
-    return poly.discriminant(t.polynomial())
+    n1, m1 = t.n1, t.m1
+    core = n**n1 * B ** (n1 - m1) - (-1) ** n1 * (n - m) ** (n1 - m1) * (
+        m**m1 * A**n1
+    )
+    return (-1) ** (n * (n - 1) // 2) * B ** (m - 1) * core**t.d0
 
 
 def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> IntPolynomial:
@@ -186,7 +146,7 @@ def jks_index_free(
         raise Reducible(f"{t.polynomial()} is reducible over Q")
 
     n, m, A, B = t.n, t.m, t.A, t.B
-    ctx = JksContext(q=q, d0=t.d0, m1=t.m1, n1=t.n1)
+    n1, m1 = t.n1, t.m1
     qA = A % q == 0
     qB = B % q == 0
 
@@ -196,54 +156,49 @@ def jks_index_free(
         return IndexVerdict(q, not free, "i", detail)
 
     if qA and not qB:
-        ctx.j = arith.valuation(n, q)
-        if ctx.j < 1:
+        j = arith.valuation(n, q)
+        if j < 1:
             raise EngineGap(f"q={q} | A, q∤B but q∤n: outside criterion")
-        ctx.a2 = A // q
-        num = B + (-B) ** (q**ctx.j)
+        a2 = A // q
+        num = B + (-B) ** (q**j)
         assert num % q == 0, "b1 not integral"
-        ctx.b1 = num // q
-        first = ctx.a2 % q == 0 and ctx.b1 % q != 0
-        second = (
-            ctx.a2 * ((-B) ** ctx.m1 * ctx.a2**ctx.n1 - (-ctx.b1) ** ctx.n1)
-        ) % q != 0
+        b1 = num // q
+        first = a2 % q == 0 and b1 % q != 0
+        second = (a2 * ((-B) ** m1 * a2**n1 - (-b1) ** n1)) % q != 0
         free = first or second
-        detail = f"(ii): q|A, q∤B; a2={ctx.a2}, b1={ctx.b1}"
+        detail = f"(ii): q|A, q∤B; a2={a2}, b1={b1}"
         return IndexVerdict(q, not free, "ii", detail)
 
     if not qA and qB:
-        ctx.l = arith.valuation(n - m, q)
-        num = A + (-A) ** (q**ctx.l)
+        l = arith.valuation(n - m, q)
+        num = A + (-A) ** (q**l)
         assert num % q == 0, "a1 not integral"
-        ctx.a1 = num // q
-        ctx.b2 = B // q
-        first = ctx.a1 % q == 0 and ctx.b2 % q != 0
+        a1 = num // q
+        b2 = B // q
+        first = a1 % q == 0 and b2 % q != 0
         second = (
-            ctx.a1
-            * ctx.b2 ** (m - 1)
-            * ((-A) ** ctx.m1 * ctx.a1 ** (ctx.n1 - ctx.m1)
-               - (-ctx.b2) ** (ctx.n1 - ctx.m1))
+            a1
+            * b2 ** (m - 1)
+            * ((-A) ** m1 * a1 ** (n1 - m1) - (-b2) ** (n1 - m1))
         ) % q != 0
         free = first or second
-        detail = f"(iii): q∤A, q|B; a1={ctx.a1}, b2={ctx.b2}"
+        detail = f"(iii): q∤A, q|B; a1={a1}, b2={b2}"
         return IndexVerdict(q, not free, "iii", detail)
 
     if m % q == 0:
         # r is the largest power with q^r | gcd(n, m), so q ∤ gcd(s', s)
-        ctx.r = min(arith.valuation(m, q), arith.valuation(n, q))
-        if ctx.r < 1:
+        r = min(arith.valuation(m, q), arith.valuation(n, q))
+        if r < 1:
             raise EngineGap(f"q={q} | m but q ∤ n: outside criterion")
-        Q = q**ctx.r
-        ctx.s = m // Q
-        ctx.s_prime = n // Q
-        h1 = reduce_mod(trinomial(ctx.s_prime, ctx.s, A, B), q)
-        h2 = reduce_mod(_build_h2(A, B, ctx.s, Q, q), q)
+        Q = q**r
+        s = m // Q
+        h1 = reduce_mod(trinomial(n // Q, s, A, B), q)
+        h2 = reduce_mod(_build_h2(A, B, s, Q, q), q)
         g = gcd_mod(h1, h2)
         free = g.degree == 0
         detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {g.degree}"
         return IndexVerdict(q, not free, "iv", detail)
 
-    n1, m1 = ctx.n1, ctx.m1
     crit = B ** (n1 - m1) * n1**n1 - (-1) ** m1 * A**n1 * m1**m1 * (
         m1 - n1
     ) ** (n1 - m1)

@@ -2,8 +2,8 @@
 
 Integer polynomials are coefficient tuples, constant term first.  The
 discriminant is computed from the resultant (via sympy's exact subresultant
-machinery) so it can serve as an independent oracle against closed-form
-discriminant formulas elsewhere in the package.  Factorization over F_q is
+machinery).  The package itself uses Swan's closed form; this route is the
+independent oracle the tests compare it against.  Factorization over F_q is
 squarefree split + distinct-degree split + Cantor-Zassenhaus equal-degree
 split with caller-supplied randomness.  Irreducibility over Q is exact
 (modular factorization with Hensel lifting and recombination, via sympy).

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotri import arith, poly
+from monotri import arith, cli, poly
 from monotri.classify import (
     CaseKind,
     GaloisKind,
@@ -311,6 +311,22 @@ class TestClassify:
         assert c.irreducible
         assert c.monogenic is None
         assert any("unknown" in r for r in c.reason)
+
+    def test_irreducibility_is_decided_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counting(fam):
+            calls.append(fam)
+            return family_is_irreducible(fam)
+
+        monkeypatch.setattr(
+            "monotri.classify.family_is_irreducible", counting
+        )
+        classify(TrinomialFamily(5, 3, 1))
+        assert len(calls) == 1
+        calls.clear()
+        rows = list(cli.corollary_scan_rows(20, {}))
+        assert len(calls) == sum(r["p_is_prime"] for r in rows) == 7
 
     def test_b_not_unit_with_p_dividing_delta(self):
         # p=3, b=3, a=3: delta = -99 divisible by 3, |b| != 1

@@ -87,9 +87,8 @@ class TestJksIndexFree:
             jks_index_free(GeneralTrinomial(10, 5, 3, 1), 7)
 
     def test_rejects_reducible(self):
-        t = GeneralTrinomial(6, 3, 2, 2)  # delta-style degenerate not needed
-        if poly.is_irreducible_over_Q(t.polynomial()):
-            pytest.skip("unexpectedly irreducible")
+        t = GeneralTrinomial(6, 3, 3, 2)  # (x^3 + 1)(x^3 + 2)
+        assert not poly.is_irreducible_over_Q(t.polynomial())
         q = None
         d = swan_general_discriminant(t)
         for cand in (2, 3, 5, 7):
