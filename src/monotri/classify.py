@@ -139,6 +139,20 @@ def _dickson_trace(s: int, n: int, k: int) -> int:
     return cur
 
 
+def _ceil_root(n: int, k: int) -> int:
+    """Least integer r >= 0 with r^k >= n, for n >= 0 (Newton on ints)."""
+    if n <= 1:
+        return n
+    # 2^ceil(bits/k) is at least the floor root; Newton descends to it
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == n else x + 1
+
+
 def family_is_irreducible(fam: TrinomialFamily) -> bool:
     """Exact irreducibility of f = g(x^p), g = x^2 + a x + b^p, over Q.
 
@@ -155,7 +169,7 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
         return False
     # |gamma| <= max(|beta|, |beta'|)^{1/p}, which bounds s = gamma + conj
     root_bound = (abs(a) + math.isqrt(abs(d)) + 2) // 2 + 1
-    s_bound = 2 * math.ceil(root_bound ** (1.0 / p)) + 2
+    s_bound = 2 * _ceil_root(root_bound, p) + 2
     for s in range(-s_bound, s_bound + 1):
         if _dickson_trace(s, b, p) == -a:
             return False

@@ -3,7 +3,8 @@
 Subcommands: classify, enumerate, corollary-scan, crosscheck, galois-sample.
 Data rows go to stdout in a human table, JSON lines or CSV; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage error or
-reducible input, 2 an Unknown verdict was encountered.
+reducible input, 2 an Unknown verdict was encountered, 3 an internal error
+(a one-line message on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ ROW_FIELDS = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -439,6 +441,10 @@ def main(argv=None) -> int:
     except (UsageError, Reducible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug, not a bad request: keep it apart from EXIT_USAGE
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

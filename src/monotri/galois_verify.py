@@ -5,6 +5,11 @@ orders bounds the lcm of every unramified degree pattern, and complete
 splitting happens with density 1/|G|.  Sampling a few thousand unramified
 primes is enough to separate the candidate groups, whose orders differ by a
 factor of two.
+
+The degree pattern of f = g(x^p) mod ell is read off g = x^2 + a x + b^p
+mod ell and one p-th-power test of its root (Lidl-Niederreiter, Finite
+Fields, Thm 3.75), in O(log ell) field operations.  The tests hold it
+equal to a distinct-degree factorization of f itself in `poly`.
 """
 
 from __future__ import annotations
@@ -13,14 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, poly
+from . import arith
 from .classify import (
     GaloisClass,
     GaloisKind,
     TrinomialFamily,
+    delta,
     family_is_irreducible,
-    family_polynomial,
-    swan_disc_f,
 )
 from .indexcheck import Reducible
 
@@ -55,7 +59,8 @@ class SampleReport:
 
 
 def _divisors(n: int):
-    return {d for d in range(1, n + 1) if n % d == 0}
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
 def _frobenius_group_orders(p: int, d: int):
@@ -74,29 +79,75 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
     return OrderSpectrum(kind, p, frozenset(orders))
 
 
+def _quadratic_pow(a: int, c: int, e: int, ell: int):
+    """x^e in F_ell[x]/(x^2 + a x + c), as (u, v) meaning u + v x."""
+    ru, rv = 1, 0
+    bu, bv = 0, 1
+    while e:
+        if e & 1:
+            w = rv * bv
+            ru, rv = (ru * bu - c * w) % ell, (ru * bv + rv * bu - a * w) % ell
+        e >>= 1
+        if e:
+            w = bv * bv
+            bu, bv = (bu * bu - c * w) % ell, (2 * bu * bv - a * w) % ell
+    return ru, rv
+
+
+def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
+    """Sorted factor degrees of x^{2p} + a x^p + c mod ell, for ell prime
+    with ell not dividing p*c*d, where d = a^2 - 4c and c = b^p.
+
+    g = x^2 + a x + c either splits mod ell (Q = ell) or is inert (Q = ell^2,
+    every degree doubles).  Over F_Q, x^p - beta for a root beta of g has
+    one root and orbits of length ord_p(Q) when p does not divide Q - 1;
+    otherwise it splits completely if beta is a p-th power and is
+    irreducible if not (Lidl-Niederreiter, Thm 3.75).  The roots of g have
+    product b^p, so both are p-th powers or neither is, and one power of x
+    modulo g decides it.
+    """
+    a, c = a % ell, c % ell
+    # for ell = 2, a and b are odd and g = x^2 + x + 1 is inert
+    split = ell > 2 and pow(d, (ell - 1) // 2, ell) == 1
+    q = ell if split else ell * ell
+    if (q - 1) % p:
+        k = min(e for e in _divisors(p - 1) if pow(q, e, p) == 1)
+        per_root = [1] + [k] * ((p - 1) // k)
+    elif _quadratic_pow(a, c, (q - 1) // p, ell) == (1, 0):
+        per_root = [1] * p
+    else:
+        per_root = [p]
+    if split:
+        return sorted(per_root * 2)
+    return [2 * e for e in per_root]
+
+
 def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
     """Record Frobenius orders (lcm of the factor-degree pattern mod ell)
     over the first `prime_budget` unramified primes.
 
-    Ramified primes are skipped and not counted.  The prime walk is the
-    deterministic increasing one.
+    Ramified primes (those dividing p * b * delta) are skipped and not
+    counted.  The prime walk is the deterministic increasing one.  Each
+    pattern comes from g = x^2 + a x + b^p mod ell and one p-th-power test
+    of its root (Lidl-Niederreiter, Finite Fields, Thm 3.75), not from
+    factoring f.
     """
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
     if not family_is_irreducible(fam):
         raise Reducible(f"family {fam} is reducible over Q")
-    f = family_polynomial(fam)
-    disc = swan_disc_f(fam)
+    p, a, c, d = fam.p, fam.a, fam.b**fam.p, delta(fam)
+    ramified = p * fam.b * d
     observed: dict[int, int] = {}
     splits = 0
     used = 0
     for ell in arith.primes():
-        if disc % ell == 0:
+        if ramified % ell == 0:
             continue
-        pattern = poly.degree_pattern(f, ell)
+        pattern = _frobenius_pattern(p, a, c, d, ell)
         order = math.lcm(*pattern)
         observed[order] = observed.get(order, 0) + 1
-        if all(d == 1 for d in pattern):
+        if all(e == 1 for e in pattern):
             splits += 1
         used += 1
         if used >= prime_budget:

@@ -357,7 +357,9 @@ def degree_pattern(f: IntPolynomial, ell: int):
     """Multiset (sorted list) of irreducible factor degrees of f mod ell.
 
     Requires ell unramified (f squarefree mod ell, same thing for monic f);
-    this is the Frobenius cycle type at ell.
+    this is the Frobenius cycle type at ell.  A distinct-degree
+    factorization of f itself, it is the tests' oracle for the cycle types
+    that `galois_verify` reads off g mod ell for f = g(x^p).
     """
     fq = reduce_mod(f, ell)
     if fq.degree != f.degree:

@@ -10,6 +10,7 @@ from monotri.classify import (
     GaloisKind,
     TrinomialFamily,
     UnsupportedB,
+    _dickson_trace,
     case_label,
     classify,
     delta,
@@ -95,6 +96,19 @@ class TestIrreducibility:
         # 9413 = 97^2 + 4 is prime; the corollary family must be tractable
         assert arith.is_prime(9413)
         assert family_is_irreducible(TrinomialFamily(9413, 97, -1))
+
+    def test_a_above_float_range(self):
+        # the s-scan bound is an integer p-th root: |a| > 1e308 must not
+        # overflow a float
+        fam = TrinomialFamily(1009, 10**400 + 1, 1)
+        assert family_is_irreducible(fam)
+        assert galois_group(fam).kind is GaloisKind.FULL_TIMES_C2
+
+    def test_huge_pth_power_root_reducible(self):
+        # gamma = (3 + sqrt 5)/2 has norm 1; -a = trace(gamma^1009) has 422
+        # digits, and the root of g is gamma^1009
+        a = -_dickson_trace(3, 1, 1009)
+        assert not family_is_irreducible(TrinomialFamily(1009, a, 1))
 
 
 class TestGaloisGroup:

@@ -6,6 +6,7 @@ import pytest
 
 from monotri import cli
 from monotri.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
@@ -65,6 +66,16 @@ class TestClassifyCommand:
         assert code == EXIT_UNKNOWN
         row = json.loads(out)
         assert row["monogenic"] is None and row["irreducible"] is True
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.cls, "classify", broken)
+        code, out, err = run(capsys, "classify", "-p", "5", "-a", "3", "-b", "1")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_csv_header(self, capsys):
         code, out, _ = run(

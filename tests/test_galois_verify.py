@@ -2,15 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from monotri import arith, poly
 from monotri.classify import (
     GaloisClass,
     GaloisKind,
     TrinomialFamily,
+    delta,
+    family_polynomial,
     galois_group,
 )
 from monotri.galois_verify import (
     MIN_PRIMES_FOR_VERDICT,
+    SampleReport,
+    _frobenius_pattern,
     consistency_check,
     element_order_spectrum,
     frobenius_sample,
@@ -43,7 +50,68 @@ class TestElementOrderSpectrum:
                 assert all(g.order % o == 0 for o in s.orders)
 
 
+def fast_and_oracle(fam, ell):
+    d = delta(fam)
+    fast = _frobenius_pattern(fam.p, fam.a, fam.b**fam.p, d, ell)
+    return fast, poly.degree_pattern(family_polynomial(fam), ell)
+
+
+class TestFrobeniusPattern:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+        st.integers(-200, 200).filter(bool),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+    def test_matches_degree_pattern(self, p, a, b):
+        fam = TrinomialFamily(p, a, b)
+        d = delta(fam)
+        assume(d != 0)
+        used = 0
+        for ell in arith.primes():
+            if p * b * d % ell == 0:
+                continue
+            fast, oracle = fast_and_oracle(fam, ell)
+            assert fast == oracle, (fam, ell)
+            used += 1
+            if used == 40:
+                break
+
+    @pytest.mark.parametrize(
+        "p, a, b, ell, pattern",
+        [
+            # g splits, p does not divide ell - 1: one root, orbits of ord_p(ell)
+            (5, 3, 1, 19, [1, 1, 2, 2, 2, 2]),
+            # g splits, p | ell - 1, the roots are p-th powers
+            (5, 3, 1, 211, [1] * 10),
+            # g splits, p | ell - 1, the roots are not p-th powers
+            (5, 3, 1, 11, [5, 5]),
+            # g inert, p does not divide ell^2 - 1
+            (5, 3, 1, 7, [2, 4, 4]),
+            # g inert, p | ell^2 - 1, the root is a p-th power in F_ell^2
+            (3, 1, 1, 17, [2, 2, 2]),
+            # g inert, p | ell^2 - 1, the root is not a p-th power
+            (3, 1, 1, 5, [6]),
+            # ell = 2: a and b odd, g = x^2 + x + 1 inert
+            (3, 1, 1, 2, [6]),
+        ],
+    )
+    def test_each_branch(self, p, a, b, ell, pattern):
+        fast, oracle = fast_and_oracle(TrinomialFamily(p, a, b), ell)
+        assert fast == oracle == pattern
+
+
 class TestFrobeniusSample:
+    def test_does_not_factor_f(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("degree_pattern called")
+
+        monkeypatch.setattr(poly, "degree_pattern", refuse)
+        fam = TrinomialFamily(5, 3, 1)
+        assert frobenius_sample(fam, 400) == SampleReport(
+            fam, 400, {1: 16, 2: 97, 4: 205, 5: 82}, Fraction(1, 25)
+        )
+
     def test_observed_orders_inside_spectrum(self):
         for p, a, b in [(3, 1, 1), (3, 4, 1), (5, 3, 1)]:
             fam = TrinomialFamily(p, a, b)
