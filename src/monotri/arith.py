@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 
 __all__ = [
     "FactoredInteger",
@@ -32,6 +33,12 @@ _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # probability < 4^-64 = 2^-128.  Witnesses are drawn from an RNG seeded
 # by the input itself, so the answer is deterministic per input.
 _LARGE_ROUNDS = 64
+
+# Segment lengths of the prime walk, and the bound beyond which it tests
+# candidates one by one instead of keeping base primes up to 2^20.
+_MIN_SEGMENT = 1 << 10
+_MAX_SEGMENT = 1 << 18
+_SIEVE_BOUND = 1 << 40
 
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
@@ -84,14 +91,45 @@ def is_prime(n: int) -> bool:
     return not any(_miller_rabin_witness(n, a) for a in witnesses)
 
 
+def _small_primes(n):
+    """All primes <= n, by a plain sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
 def primes(start: int = 2):
-    """Yield primes >= start in increasing order."""
-    n = max(2, start)
-    if n % 2 == 0 and n > 2:
-        n += 1
-    if n == 2:
-        yield 2
-        n = 3
+    """Yield primes >= start in increasing order.
+
+    A segmented sieve of Eratosthenes: each segment [lo, hi) is crossed off
+    by the primes up to sqrt(hi).  Segments double up to _MAX_SEGMENT, so a
+    walk that reaches ell holds O(sqrt(ell) + segment) numbers.  Past
+    _SIEVE_BOUND, where the base primes would not fit, candidates are
+    tested one by one with is_prime.
+    """
+    lo = max(2, start)
+    size = _MIN_SEGMENT
+    base = []
+    base_limit = 1
+    while lo < _SIEVE_BOUND:
+        hi = min(lo + size, _SIEVE_BOUND)
+        root = math.isqrt(hi - 1)
+        if root > base_limit:
+            base_limit = max(root, 2 * base_limit)
+            base = _small_primes(base_limit)
+        seg = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p > root:
+                break
+            first = max(p * p, -(-lo // p) * p)
+            seg[first - lo :: p] = bytes(len(range(first, hi, p)))
+        yield from compress(range(lo, hi), seg)
+        lo = hi
+        size = min(2 * size, _MAX_SEGMENT)
+    n = lo | 1
     while True:
         if is_prime(n):
             yield n

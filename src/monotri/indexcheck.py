@@ -5,7 +5,7 @@ Two independent routes decide whether a prime q divides the index
 
 * a condition-dispatch engine on the shape of (q|A, q|B, q|m), with five
   mutually exclusive branches (the JKS criterion for trinomials);
-* the classical Dedekind criterion, driven by factorization mod q.
+* the classical Dedekind criterion, driven by the radical of f mod q.
 
 The two must always agree; the test suite cross-checks them on a large
 randomized corpus.  `trinomial_is_monogenic` scans every prime whose square
@@ -211,39 +211,39 @@ def dedekind_divides_index(
     f: IntPolynomial,
     q: int,
     check_irreducible: bool = True,
-    seed: int = 0,
     symmetric_lift: bool = False,
 ) -> bool:
     """Dedekind criterion: does the prime q divide [Z_K : Z[theta]]?
 
-    Factor f mod q; with g = product of the distinct irreducible factors and
-    h = f/g lifted to Z, the index is divisible by q iff
-    gcd((g*h - f)/q, g, h) mod q has positive degree.  The verdict does not
-    depend on the lift convention (representatives in [0,q) or symmetric).
+    With g the lift to Z of rad(f mod q), the product of the distinct
+    irreducible factors, and h the lift of (f mod q)/g, the index is
+    divisible by q iff gcd((g*h - f)/q, g, h) mod q has positive degree
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    §6.1.2).  The verdict does not depend on the lift convention
+    (representatives in [0,q) or symmetric).
     """
+    if q < 2 or not arith.is_prime(q):
+        raise arith.NotPrime(f"{q} is not prime")
     if not f.is_monic():
         raise ValueError("Dedekind criterion requires a monic polynomial")
     if check_irreducible and not poly.is_irreducible_over_Q(f):
         raise Reducible(f"{f} is reducible over Q")
     fbar = reduce_mod(f, q)
-    factors = poly.factor_mod(fbar, seed=seed)
-    gbar = ModPolynomial(q, [1])
-    for irr, _ in factors:
-        gbar = gbar * irr
+    gbar = poly.radical_mod(fbar)
     hbar = fbar // gbar
 
-    def lift(mp: ModPolynomial) -> IntPolynomial:
+    def lift(mp: ModPolynomial) -> tuple:
         if symmetric_lift:
-            return IntPolynomial(
-                [c - q if c > q // 2 else c for c in mp.coeffs]
-            )
-        return IntPolynomial(mp.coeffs)
+            return tuple(c - q if c > q // 2 else c for c in mp.coeffs)
+        return mp.coeffs
 
     g, h = lift(gbar), lift(hbar)
-    gh = g.to_sympy() * h.to_sympy()
-    diff = [int(c) for c in (gh - f.to_sympy()).all_coeffs()] or [0]
+    diff = [-c for c in f.coeffs]  # g and h are monic, so deg gh = deg f
+    for i, gi in enumerate(g):
+        for j, hj in enumerate(h):
+            diff[i + j] += gi * hj
     assert all(c % q == 0 for c in diff)
-    tbar = ModPolynomial(q, [c // q for c in reversed(diff)])
+    tbar = ModPolynomial(q, [c // q for c in diff])
     d = gcd_mod(gcd_mod(tbar, gbar), hbar)
     return d.degree > 0
 

@@ -3,10 +3,13 @@
 Integer polynomials are coefficient tuples, constant term first.  The
 discriminant is computed from the resultant (via sympy's exact subresultant
 machinery).  The package itself uses Swan's closed form; this route is the
-independent oracle the tests compare it against.  Factorization over F_q is
-squarefree split + distinct-degree split + Cantor-Zassenhaus equal-degree
-split with caller-supplied randomness.  Irreducibility over Q is exact
-(modular factorization with Hensel lifting and recombination, via sympy).
+independent oracle the tests compare it against.  Over F_q, the radical
+(product of the distinct monic irreducible factors) comes from the
+squarefree split alone; the Dedekind oracle needs nothing more.  The full
+factorization (squarefree split + distinct-degree split + Cantor-Zassenhaus
+equal-degree split with caller-supplied randomness) is used by tests.
+Irreducibility over Q is exact (modular factorization with Hensel lifting
+and recombination, via sympy); it is sympy's only use at runtime.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "reduce_mod",
     "gcd_mod",
     "discriminant",
+    "radical_mod",
     "factor_mod",
     "degree_pattern",
     "is_irreducible_over_Q",
@@ -291,6 +295,21 @@ def _squarefree_parts(f: ModPolynomial):
             yield mult * q, part
 
 
+def radical_mod(f: ModPolynomial) -> ModPolynomial:
+    """Product of the distinct monic irreducible factors of f over F_q.
+
+    The squarefree parts are pairwise coprime and each is the product of
+    the irreducibles of one multiplicity, so their product is rad(f); no
+    factor is split further.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no radical")
+    rad = ModPolynomial(f.modulus, [1])
+    for _, part in _squarefree_parts(f):
+        rad = rad * part
+    return rad
+
+
 def _distinct_degree(f: ModPolynomial):
     """Split a squarefree monic f into (degree d, product of deg-d factors)."""
     q = f.modulus
@@ -340,6 +359,7 @@ def factor_mod(f: ModPolynomial, seed: int = 0):
 
     The equal-degree split is randomized; a fixed seed makes the run
     reproducible.  Factor order is canonical (by degree, then coefficients).
+    Used by tests, as the oracle for `radical_mod`.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")

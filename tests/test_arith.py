@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from monotri.arith import (
     factorize,
     is_prime,
     is_squarefree,
+    primes,
     valuation,
 )
 
@@ -37,6 +40,32 @@ class TestIsPrime:
     @pytest.mark.parametrize("n", [0, 4, 561, 1729, 2047, 3215031751])
     def test_known_composites(self, n):
         assert not is_prime(n)
+
+
+def _primes_by_test(start):
+    n = start
+    while True:
+        if n >= 2 and is_prime(n):
+            yield n
+        n += 1
+
+
+class TestPrimes:
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 1000, 7919, 10**6])
+    def test_first_5000_match_primality_filter(self, start):
+        assert list(islice(primes(start), 5000)) == list(
+            islice(_primes_by_test(start), 5000)
+        )
+
+    def test_default_start(self):
+        assert list(islice(primes(), 6)) == [2, 3, 5, 7, 11, 13]
+
+    @pytest.mark.parametrize("start", [(1 << 40) - 500, 10**30])
+    def test_beyond_the_sieve(self, start):
+        # the walk crosses from sieving to one-by-one testing seamlessly
+        assert list(islice(primes(start), 30)) == list(
+            islice(_primes_by_test(start), 30)
+        )
 
 
 class TestFactorize:

@@ -136,6 +136,29 @@ class TestDedekind:
                 )
                 assert a == b
 
+    @pytest.mark.parametrize("q", [1, 4, 9, 15, -5])
+    def test_rejects_non_prime_q(self, q):
+        with pytest.raises(arith.NotPrime):
+            dedekind_divides_index(IntPolynomial([-5, 0, 1]), q)
+
+    def test_needs_neither_full_factoring_nor_sympy(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Dedekind oracle must not call this")
+
+        monkeypatch.setattr(poly, "factor_mod", forbidden)
+        monkeypatch.setattr(IntPolynomial, "to_sympy", forbidden)
+        examples = [
+            (IntPolynomial([-5, 0, 1]), 2, True),
+            (IntPolynomial([1, 3, 1]), 5, False),
+            (IntPolynomial([-1, -1, 0, 1]), 23, False),
+        ]
+        for f, q, expected in examples:
+            for symmetric_lift in (False, True):
+                got = dedekind_divides_index(
+                    f, q, check_irreducible=False, symmetric_lift=symmetric_lift
+                )
+                assert got is expected, (f, q, symmetric_lift)
+
 
 class TestOracleEquivalence:
     def test_engines_agree_on_corpus(self):

@@ -16,6 +16,7 @@ from monotri.poly import (
     factor_mod,
     gcd_mod,
     is_irreducible_over_Q,
+    radical_mod,
     reduce_mod,
     trinomial,
 )
@@ -133,6 +134,43 @@ class TestFactorMod:
                 for _ in range(e):
                     prod = prod * g
             assert prod.coeffs == f.coeffs
+
+
+@st.composite
+def _powered_products(draw):
+    """(q, f) with f a product of random monic factors over F_q, each raised
+    to a multiplicity in {1, 2, q, 2q}."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    f = ModPolynomial(q, [1])
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+        factor = ModPolynomial(q, low + [1])
+        for _ in range(draw(st.sampled_from([1, 2, q, 2 * q]))):
+            f = f * factor
+    return q, f
+
+
+class TestRadicalMod:
+    def test_examples(self):
+        # (x + 1)^2 (x + 2) over F_5
+        assert radical_mod(ModPolynomial(5, [2, 0, 4, 1])).coeffs == (2, 3, 1)
+        # x^4 + 1 = (x + 1)^4 over F_2: the multiplicity is a power of q
+        assert radical_mod(ModPolynomial(2, [1, 0, 0, 0, 1])).coeffs == (1, 1)
+        # the radical is monic
+        assert radical_mod(ModPolynomial(7, [3, 3])).coeffs == (1, 1)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            radical_mod(ModPolynomial(3, []))
+
+    @given(_powered_products())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_product_of_distinct_irreducibles(self, case):
+        q, f = case
+        prod = ModPolynomial(q, [1])
+        for g, _ in factor_mod(f):
+            prod = prod * g
+        assert radical_mod(f) == prod
 
 
 class TestDegreePattern:
