@@ -40,6 +40,9 @@ _MIN_SEGMENT = 1 << 10
 _MAX_SEGMENT = 1 << 18
 _SIEVE_BOUND = 1 << 40
 
+# Cofactors longer than this are not written out in full in an Unknown.
+_CITED_BITS = 4096
+
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
 
@@ -156,6 +159,22 @@ class FactoredInteger:
         return self.factors.get(q, 0)
 
 
+def _rho_exhausted(n, budget):
+    """The Unknown for a cofactor n that rho could not split.
+
+    Above _CITED_BITS, n is named by its bit length and low 64 bits: str()
+    of it would be slow, and past 4300 digits it raises ValueError.
+    """
+    bits = n.bit_length()
+    if bits <= _CITED_BITS:
+        cited = str(n)
+    else:
+        cited = f"a {bits}-bit cofactor ending 0x{n & (2**64 - 1):016x}"
+    return FactorizationBudgetExceeded(
+        f"rho budget {budget} exhausted on {cited}"
+    )
+
+
 def _pollard_brent(n, budget, rng):
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite n.
 
@@ -183,9 +202,7 @@ def _pollard_brent(n, budget, rng):
                 k += m
                 spent += min(m, r - k + m)
                 if spent > budget:
-                    raise FactorizationBudgetExceeded(
-                        f"rho budget {budget} exhausted on {n}"
-                    )
+                    raise _rho_exhausted(n, budget)
             r *= 2
         if g == n:
             g = 1
@@ -194,9 +211,7 @@ def _pollard_brent(n, budget, rng):
                 g = math.gcd(abs(x - ys), n)
                 spent += 1
                 if spent > budget:
-                    raise FactorizationBudgetExceeded(
-                        f"rho budget {budget} exhausted on {n}"
-                    )
+                    raise _rho_exhausted(n, budget)
         if g != n:
             return g
 

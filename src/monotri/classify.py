@@ -1,10 +1,12 @@
 """Classification layer for the family f(x) = x^{2p} + a x^p + b^p.
 
 Everything specific to this two-parameter family lives here: the quantity
-delta = a^2 - 4 b^p, the closed-form discriminant, the Galois-group split on
-the sign pattern of delta, the case ledger (delta = +-p y^2 or neither),
-quadratic monogenicity, the composed-polynomial monogenicity test, and the
-full verdict with a structured reason trace.
+delta = a^2 - 4 b^p, the Galois-group split on the sign pattern of delta,
+the case ledger (delta = +-p y^2 or neither), quadratic monogenicity, the
+composed-polynomial monogenicity test, and the full verdict with a
+structured reason trace.  `classify` builds f once as a GeneralTrinomial and
+takes the discriminant from it; the paper's closed form `swan_disc_f` is the
+tests' reference for that value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import arith, indexcheck, poly
+from . import arith, indexcheck
 from .arith import FactorizationBudgetExceeded
 from .indexcheck import GeneralTrinomial, Reducible
 from .poly import IntPolynomial, trinomial
@@ -123,7 +125,11 @@ def family_polynomial(fam: TrinomialFamily) -> IntPolynomial:
 
 
 def swan_disc_f(fam: TrinomialFamily) -> int:
-    """Closed-form discriminant b^{p(p-1)} p^{2p} (a^2 - 4 b^p)^p."""
+    """Closed-form discriminant b^{p(p-1)} p^{2p} (a^2 - 4 b^p)^p.
+
+    The paper's form, kept as the test reference for Swan's general form,
+    which `classify` reads through `GeneralTrinomial.disc`.
+    """
     p, b = fam.p, fam.b
     return b ** (p * (p - 1)) * p ** (2 * p) * delta(fam) ** p
 
@@ -280,19 +286,21 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
     """
     if not family_is_irreducible(fam):
         raise Reducible(f"family {fam} is reducible over Q")
-    return _kkr(fam, swan_disc_f(fam), **budget)
+    return _kkr(fam, _trinomial(fam), **budget)
 
 
-def _kkr(fam: TrinomialFamily, disc: int, **budget):
-    """kkr_monogenic for an irreducible family whose discriminant is disc."""
+def _trinomial(fam: TrinomialFamily) -> GeneralTrinomial:
+    """f as the general trinomial x^{2p} + a x^p + b^p."""
+    return GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p)
+
+
+def _kkr(fam: TrinomialFamily, t: GeneralTrinomial, **budget):
+    """kkr_monogenic for an irreducible family f = t."""
     p, a, b = fam.p, fam.a, fam.b
-    reasons = []
     if b not in (1, -1):
-        reasons.append(f"g(0)=b^p={b**p} not squarefree")
-        return False, reasons
-    reasons.append("g(0) squarefree")
-    t = GeneralTrinomial(2 * p, p, a, b**p)
-    verdict = indexcheck.jks_index_free(t, p, check_irreducible=False, disc=disc)
+        return False, [f"g(0)=b^p={b**p} not squarefree"]
+    reasons = ["g(0) squarefree"]
+    verdict = indexcheck.jks_index_free(t, p, check_irreducible=False)
     if verdict.divides_index:
         reasons.append(f"p={p} divides the index ({verdict.detail})")
     else:
@@ -340,61 +348,43 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
     """Full verdict for one family: irreducibility, case, Galois class,
     monogenicity and (when monogenic) the field discriminant."""
     d = delta(fam)
-    disc = swan_disc_f(fam)
-    reasons = []
+    t = _trinomial(fam)
     p_divides = d % fam.p == 0
+    # a case label exists iff b = +-1 or p does not divide delta
+    case = case_label(fam) if fam.b in (1, -1) or not p_divides else None
 
-    irreducible = family_is_irreducible(fam)
-    if not irreducible:
+    if not family_is_irreducible(fam):
         if d == 0 or arith.exact_square_root(d) is not None:
-            reasons.append("delta is a perfect square: g reducible")
+            reason = "delta is a perfect square: g reducible"
         else:
-            reasons.append("root of g is a p-th power: f reducible")
-        case = None
-        if fam.b in (1, -1) or not p_divides:
-            case = case_label(fam)
+            reason = "root of g is a p-th power: f reducible"
         return Classification(
-            fam, d, disc, False, case, None, None, None, tuple(reasons)
+            fam, d, t.disc, False, case, None, None, None, (reason,)
         )
 
     galois = GaloisClass.for_kind(_galois_kind(fam.p, d), fam.p)
+    reasons = [] if case is None else [f"case={case.kind.value}"]
     monogenic: bool | None
-    field_disc = None
-
-    if p_divides and fam.b not in (1, -1):
-        case = None
-        monogenic = False
-        reasons.append(f"g(0)=b^p={fam.b**fam.p} not squarefree")
-    else:
-        case = case_label(fam)
-        reasons.append(f"case={case.kind.value}")
+    try:
         if p_divides:
-            reasons.append(f"classification {theorem_item(case, fam.p)}")
-            try:
-                monogenic, kkr_reasons = _kkr(fam, disc, **budget)
-                reasons.extend(kkr_reasons)
-            except FactorizationBudgetExceeded as exc:
-                monogenic = None
-                reasons.append(f"unknown: {exc}")
+            if case is not None:
+                reasons.append(f"classification {theorem_item(case, fam.p)}")
+            monogenic, more = _kkr(fam, t, **budget)
         else:
             reasons.append("generic index scan (p does not divide delta)")
-            try:
-                report = indexcheck.trinomial_is_monogenic(
-                    GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p),
-                    check_irreducible=False,
-                    **budget,
-                )
-                monogenic = report.monogenic
-                for v in report.checks:
-                    reasons.append(f"q={v.q}: {v.detail}")
-            except FactorizationBudgetExceeded as exc:
-                monogenic = None
-                reasons.append(f"unknown: {exc}")
+            report = indexcheck.trinomial_is_monogenic(
+                t, check_irreducible=False, **budget
+            )
+            monogenic = report.monogenic
+            more = [f"q={v.q}: {v.detail}" for v in report.checks]
+        reasons.extend(more)
+    except FactorizationBudgetExceeded as exc:
+        monogenic = None
+        reasons.append(f"unknown: {exc}")
 
-    if monogenic:
-        field_disc = disc
+    field_disc = t.disc if monogenic else None
     return Classification(
-        fam, d, disc, True, case, galois, monogenic, field_disc, tuple(reasons)
+        fam, d, t.disc, True, case, galois, monogenic, field_disc, tuple(reasons)
     )
 
 

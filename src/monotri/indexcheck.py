@@ -10,15 +10,17 @@ Two independent routes decide whether a prime q divides the index
 The two must always agree; the test suite cross-checks them on a large
 randomized corpus.  `trinomial_is_monogenic` scans every prime whose square
 divides the discriminant and requires an index-free verdict at each.
+The engine and the scan read the discriminant from `GeneralTrinomial.disc`,
+Swan's closed form, computed once per trinomial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import arith, poly
-from .arith import FactorizationBudgetExceeded
 from .poly import IntPolynomial, ModPolynomial, gcd_mod, reduce_mod, trinomial
 
 __all__ = [
@@ -62,6 +64,12 @@ class GeneralTrinomial:
 
     def polynomial(self) -> IntPolynomial:
         return trinomial(self.n, self.m, self.A, self.B)
+
+    @cached_property
+    def disc(self) -> int:
+        """Swan's discriminant, computed once; outside eq, hash and repr."""
+        # cached_property writes __dict__ directly, so frozen is no obstacle
+        return swan_general_discriminant(self)
 
     @property
     def d0(self) -> int:
@@ -128,7 +136,6 @@ def jks_index_free(
     t: GeneralTrinomial,
     q: int,
     check_irreducible: bool = True,
-    disc: int | None = None,
 ) -> IndexVerdict:
     """Decide whether the prime q | disc divides the index, by condition
     dispatch on (q|A, q|B, q|m).
@@ -136,11 +143,9 @@ def jks_index_free(
     Exactly one of the five branches fires; anything outside their combined
     hypotheses raises EngineGap instead of guessing.
     """
-    if not arith.is_prime(q):
+    if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
-    if disc is None:
-        disc = swan_general_discriminant(t)
-    if disc % q != 0:
+    if t.disc % q != 0:
         raise NotADiscriminantPrime(f"{q} does not divide the discriminant")
     if check_irreducible and not poly.is_irreducible_over_Q(t.polynomial()):
         raise Reducible(f"{t.polynomial()} is reducible over Q")
@@ -252,7 +257,6 @@ def dedekind_divides_index(
 class MonogenicityReport:
     monogenic: bool
     checks: tuple  # of IndexVerdict, one per prime with q^2 | disc
-    disc: int
 
 
 def trinomial_is_monogenic(
@@ -269,17 +273,16 @@ def trinomial_is_monogenic(
     f = t.polynomial()
     if check_irreducible and not poly.is_irreducible_over_Q(f):
         raise Reducible(f"{f} is reducible over Q")
-    disc = swan_general_discriminant(t)
-    if disc == 0:
+    if t.disc == 0:
         raise Reducible("zero discriminant: repeated roots")
-    fac = arith.factorize(disc, **budget)
+    fac = arith.factorize(t.disc, **budget)
     checks = []
     monogenic = True
     for q in sorted(fac.factors):
         if fac.factors[q] < 2:
             continue
-        verdict = jks_index_free(t, q, check_irreducible=False, disc=disc)
+        verdict = jks_index_free(t, q, check_irreducible=False)
         checks.append(verdict)
         if verdict.divides_index:
             monogenic = False
-    return MonogenicityReport(monogenic, tuple(checks), disc)
+    return MonogenicityReport(monogenic, tuple(checks))

@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -89,6 +90,21 @@ class TestFactorize:
         n = (2**127 - 1) * (2**89 - 1)
         with pytest.raises(FactorizationBudgetExceeded):
             factorize(n, trial_bound=100, rho_budget=50)
+
+    def test_huge_cofactor_is_named_by_size(self):
+        # str() of a 19,630-bit integer exceeds the 4300-digit limit
+        n = (2**9689 - 1) * (2**9941 - 1)
+        with pytest.raises(FactorizationBudgetExceeded) as info:
+            arith._pollard_brent(n, 1, random.Random(0))
+        assert str(info.value) == (
+            "rho budget 1 exhausted on a 19630-bit cofactor ending "
+            "0x0000000000000001"
+        )
+
+    def test_small_cofactor_is_named_in_full(self):
+        with pytest.raises(FactorizationBudgetExceeded) as info:
+            arith._pollard_brent(10007 * 10009, 1, random.Random(0))
+        assert str(info.value) == "rho budget 1 exhausted on 100160063"
 
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200, deadline=None)

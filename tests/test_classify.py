@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotri import arith, cli, poly
+from monotri import arith, cli, indexcheck, poly
 from monotri.classify import (
     CaseKind,
     GaloisKind,
@@ -341,6 +341,34 @@ class TestClassify:
         calls.clear()
         rows = list(cli.corollary_scan_rows(20, {}))
         assert len(calls) == sum(r["p_is_prime"] for r in rows) == 7
+
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
+            (5, 3, 2),  # p does not divide delta = -119
+            (5, 3, 1),  # p | delta = 5, b = 1
+            (3, 1, -2),  # p | delta = 33, |b| > 1
+            (3, 6, 2),  # delta = 4 is a square: reducible
+        ],
+    )
+    def test_discriminant_is_computed_once_per_family(
+        self, monkeypatch, p, a, b
+    ):
+        calls = []
+        general = indexcheck.swan_general_discriminant
+        monkeypatch.setattr(
+            indexcheck,
+            "swan_general_discriminant",
+            lambda t: calls.append("general") or general(t),
+        )
+        monkeypatch.setattr(
+            "monotri.classify.swan_disc_f",
+            lambda fam: calls.append("closed") or swan_disc_f(fam),
+        )
+        fam = TrinomialFamily(p, a, b)
+        c = classify(fam)
+        assert calls == ["general"]
+        assert c.disc_f == swan_disc_f(fam)
 
     def test_b_not_unit_with_p_dividing_delta(self):
         # p=3, b=3, a=3: delta = -99 divisible by 3, |b| != 1

@@ -67,6 +67,12 @@ class TestClassifyCommand:
         row = json.loads(out)
         assert row["monogenic"] is None and row["irreducible"] is True
 
+    def test_seed_is_a_crosscheck_option_only(self, capsys):
+        code, _, _ = run(
+            capsys, "classify", "-p", "5", "-a", "3", "-b", "1", "--seed", "1"
+        )
+        assert code == EXIT_USAGE
+
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -206,6 +212,15 @@ class TestGaloisSample:
         )
         assert code == EXIT_USAGE and "reducible" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_prime_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, "galois-sample", "-p", "3", "-a", "1", "-b", "1",
+            "--prime-budget", budget,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: prime budget must be at least 1")
+
 
 class TestConfig:
     def test_defaults(self):
@@ -254,3 +269,15 @@ class TestConfig:
         row = json.loads(out)
         assert row["primes_used"] == 50
         assert row["verdict"] == "inconclusive"
+
+    def test_config_prime_budget_zero_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "cfg"
+        path.write_text("prime_budget = 0\n")
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+        code, _, err = run(
+            capsys, "galois-sample", "-p", "3", "-a", "1", "-b", "1"
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: prime budget must be at least 1")

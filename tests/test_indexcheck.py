@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monotri import arith, poly
+from monotri import arith, cli, indexcheck, poly
 from monotri.arith import FactorizationBudgetExceeded
 from monotri.indexcheck import (
     EngineGap,
@@ -57,7 +57,34 @@ class TestSwanGeneralDiscriminant:
             )
 
 
+class TestDiscProperty:
+    def test_is_swan_and_cached(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return swan_general_discriminant(t)
+
+        monkeypatch.setattr(indexcheck, "swan_general_discriminant", counting)
+        t = GeneralTrinomial(10, 5, 3, 1)
+        assert t.disc == t.disc == 5**15
+        assert len(calls) == 1
+
+    def test_invisible_to_eq_hash_repr(self):
+        t, u = GeneralTrinomial(6, 3, 1, 1), GeneralTrinomial(6, 3, 1, 1)
+        before = repr(t)
+        assert t.disc == -19683
+        assert t == u and hash(t) == hash(u)
+        assert repr(t) == before == "GeneralTrinomial(n=6, m=3, A=1, B=1)"
+
+
 class TestJksIndexFree:
+    @pytest.mark.parametrize("q", [-5, -2, 0, 1])
+    def test_rejects_q_below_two(self, q):
+        t = GeneralTrinomial(3, 1, 5, 5)
+        with pytest.raises(arith.NotPrime):
+            jks_index_free(t, q, check_irreducible=False)
+
     def test_condition_iv_degree_ten(self):
         v = jks_index_free(GeneralTrinomial(10, 5, 3, 1), 5)
         assert not v.divides_index and v.condition_used == "iv"
@@ -110,7 +137,7 @@ class TestJksIndexFree:
             q = 2
             if d % q:
                 continue
-            v = jks_index_free(t, q, check_irreducible=False, disc=d)
+            v = jks_index_free(t, q, check_irreducible=False)
             assert v.condition_used == cond
 
 
@@ -172,11 +199,34 @@ class TestOracleEquivalence:
                 continue
             f = t.polynomial()
             for q in sorted(fac.factors):
-                jks = jks_index_free(t, q, check_irreducible=False, disc=d)
+                jks = jks_index_free(t, q, check_irreducible=False)
                 ded = dedekind_divides_index(f, q, check_irreducible=False)
                 assert jks.divides_index == ded, (t, q)
                 compared += 1
         assert compared > 300
+
+
+class TestCrosscheckCorpus:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cli_corpus_matches_filtered_corpus(self, seed):
+        # the CLI corpus has no zero-discriminant filter: irreducibility
+        # over Q already excludes repeated roots
+        assert cli.crosscheck_corpus(60, seed) == random_irreducible_corpus(
+            60, seed
+        )
+
+    def test_one_discriminant_per_trinomial(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return swan_general_discriminant(t)
+
+        monkeypatch.setattr(indexcheck, "swan_general_discriminant", counting)
+        corpus = cli.crosscheck_corpus(40, 5)
+        report = cli.run_crosscheck(corpus, {})
+        assert report["disagreements"] == 0
+        assert calls == corpus
 
 
 class TestMonogenicity:
