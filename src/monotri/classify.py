@@ -263,19 +263,15 @@ def quadratic_is_monogenic(a: int, b: int, **budget) -> bool:
     """Monogenicity of x^2 + a x + b for b in {-1, +1}.
 
     W = (a^2 - 4b)/gcd(a,2)^2 must be squarefree, with the parity side
-    conditions 4|a-if-2|a (b=1) and 4∤a (b=-1).
+    conditions 4|a-if-2|a (b=1) and 4∤a (b=-1); `_squarefree_reasons`
+    applies them.
     """
     if b not in (1, -1):
         raise ValueError("b must be +-1")
     d = a * a - 4 * b
     if d == 0 or arith.exact_square_root(d) is not None:
         raise Reducible(f"x^2+{a}x+{b} is reducible over Q")
-    w = d // 4 if a % 2 == 0 else d
-    if b == 1 and a % 2 == 0 and a % 4 != 0:
-        return False
-    if b == -1 and a % 4 == 0:
-        return False
-    return arith.is_squarefree(w, **budget)
+    return _squarefree_reasons(a, b, **budget)[0]
 
 
 def kkr_monogenic(fam: TrinomialFamily, **budget):
@@ -300,7 +296,7 @@ def _kkr(fam: TrinomialFamily, t: GeneralTrinomial, **budget):
     if b not in (1, -1):
         return False, [f"g(0)=b^p={b**p} not squarefree"]
     reasons = ["g(0) squarefree"]
-    verdict = indexcheck.jks_index_free(t, p, check_irreducible=False)
+    verdict = indexcheck.jks_index_free(t, p)
     if verdict.divides_index:
         reasons.append(f"p={p} divides the index ({verdict.detail})")
     else:
@@ -372,9 +368,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
             monogenic, more = _kkr(fam, t, **budget)
         else:
             reasons.append("generic index scan (p does not divide delta)")
-            report = indexcheck.trinomial_is_monogenic(
-                t, check_irreducible=False, **budget
-            )
+            report = indexcheck.trinomial_is_monogenic(t, **budget)
             monogenic = report.monogenic
             more = [f"q={v.q}: {v.detail}" for v in report.checks]
         reasons.extend(more)

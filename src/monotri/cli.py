@@ -16,7 +16,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import arith, classify as cls, galois_verify, indexcheck, poly
 from .arith import FactorizationBudgetExceeded
@@ -46,11 +46,14 @@ EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
 
 
+class UsageError(Exception):
+    """Arguments that parse but make no valid request; exit code 1."""
+
+
 @dataclass
 class Config:
     trial_bound: int = arith.DEFAULT_TRIAL_BOUND
     rho_budget: int = arith.DEFAULT_RHO_BUDGET
-    split_rel_tol: float = galois_verify.DEFAULT_SPLIT_REL_TOL
     prime_budget: int = 2000
 
     def factor_budget(self):
@@ -63,20 +66,25 @@ def load_config(path: str | None) -> Config:
         path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return cfg
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("trial_bound", "rho_budget", "prime_budget"):
-                setattr(cfg, key, int(value))
-            elif key == "split_rel_tol":
-                cfg.split_rel_tol = float(value)
-            else:
-                raise SystemExit(f"unknown config key: {key}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
+    keys = {f.name for f in fields(Config)}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in keys:
+            raise UsageError(f"unknown config key: {key}")
+        try:
+            setattr(cfg, key, int(value))
+        except ValueError:
+            raise UsageError(f"config key {key} needs an integer, got {value!r}")
     return cfg
 
 
@@ -166,10 +174,6 @@ def _parse_family(args) -> TrinomialFamily:
         return TrinomialFamily(args.p, args.a, args.b)
     except ValueError as exc:
         raise UsageError(f"invalid family: {exc}")
-
-
-class UsageError(Exception):
-    """Arguments that parse but make no valid request; exit code 1."""
 
 
 def cmd_classify(args) -> int:
@@ -277,15 +281,17 @@ def cmd_corollary_scan(args) -> int:
     return EXIT_OK if ok else EXIT_UNKNOWN
 
 
-def crosscheck_corpus(size: int, seed: int, n_max: int = 12, coeff_max: int = 20):
-    """Random irreducible trinomials for the engine-vs-oracle comparison."""
+def crosscheck_corpus(size: int, seed: int):
+    """Random irreducible trinomials x^n + A x^m + B with n <= 12 and
+    0 < |A|, |B| <= 20, for the engine-vs-oracle comparison."""
     rng = random.Random(seed)
+    coeffs = [v for v in range(-20, 21) if v]
     out = []
     while len(out) < size:
-        n = rng.randrange(2, n_max + 1)
+        n = rng.randrange(2, 13)
         m = rng.randrange(1, n)
-        A = rng.choice([v for v in range(-coeff_max, coeff_max + 1) if v])
-        B = rng.choice([v for v in range(-coeff_max, coeff_max + 1) if v])
+        A = rng.choice(coeffs)
+        B = rng.choice(coeffs)
         t = GeneralTrinomial(n, m, A, B)
         # irreducible implies separable, so this also rejects disc == 0
         if poly.is_irreducible_over_Q(t.polynomial()):
@@ -310,8 +316,8 @@ def run_crosscheck(corpus, budget: dict, seed: int = 0):
             continue
         f = t.polynomial()
         for q in sorted(fac.factors):
-            jks = indexcheck.jks_index_free(t, q, check_irreducible=False)
-            ded = indexcheck.dedekind_divides_index(f, q, check_irreducible=False)
+            jks = indexcheck.jks_index_free(t, q)
+            ded = indexcheck.dedekind_divides_index(f, q)
             total += 1
             if jks.divides_index == ded:
                 agreements += 1
@@ -349,9 +355,7 @@ def cmd_galois_sample(args) -> int:
         raise UsageError(f"prime budget must be at least 1, got {prime_budget}")
     claimed = cls.galois_group(fam)
     report = galois_verify.frobenius_sample(fam, prime_budget)
-    verdict = galois_verify.consistency_check(
-        fam, claimed, report, rel_tol=cfg.split_rel_tol
-    )
+    verdict = galois_verify.consistency_check(fam, claimed, report)
     row = {
         "p": fam.p,
         "a": fam.a,
@@ -363,11 +367,7 @@ def cmd_galois_sample(args) -> int:
         "split_fraction": str(report.split_fraction),
         "verdict": verdict,
     }
-    if args.format == "jsonl":
-        print(json.dumps(row, default=str))
-    else:
-        for k, v in row.items():
-            print(f"{k}: {v}")
+    RowWriter(args.format, list(row)).write(row)
     return EXIT_OK
 
 

@@ -12,6 +12,11 @@ randomized corpus.  `trinomial_is_monogenic` scans every prime whose square
 divides the discriminant and requires an index-free verdict at each.
 The engine and the scan read the discriminant from `GeneralTrinomial.disc`,
 Swan's closed form, computed once per trinomial.
+
+Whether q divides the index depends only on f over Z_q, so the engines
+answer for any separable trinomial: they decide q | [O : Z[x]/(f)] with O
+the maximal order of the etale algebra Q[x]/(f), a number field exactly
+when f is irreducible.  Irreducibility over Q is the caller's business.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "MonogenicityReport",
     "NotADiscriminantPrime",
     "Reducible",
-    "EngineGap",
     "swan_general_discriminant",
     "jks_index_free",
     "dedekind_divides_index",
@@ -42,11 +46,11 @@ class NotADiscriminantPrime(ValueError):
 
 
 class Reducible(ValueError):
-    """The trinomial is reducible over Q; index language does not apply."""
+    """The trinomial is reducible over Q; index language does not apply.
 
-
-class EngineGap(Exception):
-    """Input falls outside every hypothesis pattern of the criterion."""
+    The index engines raise it only for a zero discriminant (repeated
+    roots); any other reducible trinomial gets an answer.
+    """
 
 
 @dataclass(frozen=True)
@@ -132,23 +136,19 @@ def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def jks_index_free(
-    t: GeneralTrinomial,
-    q: int,
-    check_irreducible: bool = True,
-) -> IndexVerdict:
+def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
     """Decide whether the prime q | disc divides the index, by condition
     dispatch on (q|A, q|B, q|m).
 
-    Exactly one of the five branches fires; anything outside their combined
-    hypotheses raises EngineGap instead of guessing.
+    t must be separable (nonzero discriminant); it need not be irreducible.
+    Exactly one of the five branches fires.
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
+    if t.disc == 0:
+        raise Reducible("zero discriminant: repeated roots")
     if t.disc % q != 0:
         raise NotADiscriminantPrime(f"{q} does not divide the discriminant")
-    if check_irreducible and not poly.is_irreducible_over_Q(t.polynomial()):
-        raise Reducible(f"{t.polynomial()} is reducible over Q")
 
     n, m, A, B = t.n, t.m, t.A, t.B
     n1, m1 = t.n1, t.m1
@@ -162,8 +162,8 @@ def jks_index_free(
 
     if qA and not qB:
         j = arith.valuation(n, q)
-        if j < 1:
-            raise EngineGap(f"q={q} | A, q∤B but q∤n: outside criterion")
+        # Swan's core is n^{n1} B^{n1-m1} mod q here, so q | disc forces q | n
+        assert j >= 1, "q | A, q ∤ B and q | disc but q ∤ n"
         a2 = A // q
         num = B + (-B) ** (q**j)
         assert num % q == 0, "b1 not integral"
@@ -193,8 +193,9 @@ def jks_index_free(
     if m % q == 0:
         # r is the largest power with q^r | gcd(n, m), so q ∤ gcd(s', s)
         r = min(arith.valuation(m, q), arith.valuation(n, q))
-        if r < 1:
-            raise EngineGap(f"q={q} | m but q ∤ n: outside criterion")
+        # the m^{m1} term of Swan's core vanishes mod q, so as in (ii)
+        # q | disc forces q | n
+        assert r >= 1, "q ∤ AB, q | m and q | disc but q ∤ n"
         Q = q**r
         s = m // Q
         h1 = reduce_mod(trinomial(n // Q, s, A, B), q)
@@ -213,13 +214,12 @@ def jks_index_free(
 
 
 def dedekind_divides_index(
-    f: IntPolynomial,
-    q: int,
-    check_irreducible: bool = True,
-    symmetric_lift: bool = False,
+    f: IntPolynomial, q: int, symmetric_lift: bool = False
 ) -> bool:
     """Dedekind criterion: does the prime q divide [Z_K : Z[theta]]?
 
+    Precondition: f is monic and squarefree over Q; it need not be
+    irreducible, and Z_K is then the maximal order of Q[x]/(f).
     With g the lift to Z of rad(f mod q), the product of the distinct
     irreducible factors, and h the lift of (f mod q)/g, the index is
     divisible by q iff gcd((g*h - f)/q, g, h) mod q has positive degree
@@ -231,8 +231,6 @@ def dedekind_divides_index(
         raise arith.NotPrime(f"{q} is not prime")
     if not f.is_monic():
         raise ValueError("Dedekind criterion requires a monic polynomial")
-    if check_irreducible and not poly.is_irreducible_over_Q(f):
-        raise Reducible(f"{f} is reducible over Q")
     fbar = reduce_mod(f, q)
     gbar = poly.radical_mod(fbar)
     hbar = fbar // gbar
@@ -259,20 +257,14 @@ class MonogenicityReport:
     checks: tuple  # of IndexVerdict, one per prime with q^2 | disc
 
 
-def trinomial_is_monogenic(
-    t: GeneralTrinomial,
-    check_irreducible: bool = True,
-    **budget,
-) -> MonogenicityReport:
+def trinomial_is_monogenic(t: GeneralTrinomial, **budget) -> MonogenicityReport:
     """True iff no prime with q^2 | disc divides the index.
 
-    Factoring the discriminant may exhaust the budget, in which case
-    FactorizationBudgetExceeded propagates: the verdict is then unknown,
-    never guessed.
+    t must be separable; for irreducible t this is monogenicity of
+    Q[x]/(t).  Factoring the discriminant may exhaust the budget, in which
+    case FactorizationBudgetExceeded propagates: the verdict is then
+    unknown, never guessed.
     """
-    f = t.polynomial()
-    if check_irreducible and not poly.is_irreducible_over_Q(f):
-        raise Reducible(f"{f} is reducible over Q")
     if t.disc == 0:
         raise Reducible("zero discriminant: repeated roots")
     fac = arith.factorize(t.disc, **budget)
@@ -281,7 +273,7 @@ def trinomial_is_monogenic(
     for q in sorted(fac.factors):
         if fac.factors[q] < 2:
             continue
-        verdict = jks_index_free(t, q, check_irreducible=False)
+        verdict = jks_index_free(t, q)
         checks.append(verdict)
         if verdict.divides_index:
             monogenic = False

@@ -35,7 +35,7 @@ __all__ = [
     "trinomial",
 ]
 
-DEFAULT_DEGREE_BUDGET = 40
+DEGREE_BUDGET = 40
 
 _x = sympy.Symbol("x")
 
@@ -49,7 +49,7 @@ class RamifiedPrime(ValueError):
 
 
 class DegreeBudgetExceeded(Exception):
-    """Degree above the configured bound for exact irreducibility testing."""
+    """Degree above DEGREE_BUDGET, the bound for exact irreducibility testing."""
 
 
 def _strip(coeffs):
@@ -392,16 +392,17 @@ def degree_pattern(f: IntPolynomial, ell: int):
     return sorted(pattern)
 
 
-def is_irreducible_over_Q(
-    f: IntPolynomial, degree_budget: int = DEFAULT_DEGREE_BUDGET
-) -> bool:
+def is_irreducible_over_Q(f: IntPolynomial) -> bool:
     """Exact irreducibility over the rationals for monic f.
 
     Backed by exact modular factorization + Hensel lifting + recombination;
-    degrees above the budget are refused rather than answered heuristically.
+    degrees above DEGREE_BUDGET are refused rather than answered
+    heuristically.  Its one runtime caller is `cli.crosscheck_corpus`,
+    whose trinomials have degree at most 12; the index engines never call
+    it.
     """
     if not f.is_monic() or f.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    if f.degree > degree_budget:
-        raise DegreeBudgetExceeded(f"degree {f.degree} > budget {degree_budget}")
+    if f.degree > DEGREE_BUDGET:
+        raise DegreeBudgetExceeded(f"degree {f.degree} > budget {DEGREE_BUDGET}")
     return bool(f.to_sympy().is_irreducible)

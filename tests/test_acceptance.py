@@ -94,8 +94,7 @@ def test_criterion_2_three_way_consistency():
         member = theorem_membership(fam, case)
         kkr, _ = kkr_monogenic(fam)
         report = trinomial_is_monogenic(
-            GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p),
-            check_irreducible=False,
+            GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p)
         )
         if not (member == kkr == report.monogenic):
             _report(

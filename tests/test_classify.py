@@ -215,9 +215,7 @@ class TestQuadraticMonogenic:
                 f = IntPolynomial([b, a, 1])
                 expect = True
                 for q in arith.factorize(d).factors:
-                    if d % (q * q) == 0 and dedekind_divides_index(
-                        f, q, check_irreducible=False
-                    ):
+                    if d % (q * q) == 0 and dedekind_divides_index(f, q):
                         expect = False
                 assert quadratic_is_monogenic(a, b) == expect, (a, b)
 
@@ -253,8 +251,7 @@ class TestKkrMonogenic:
                         continue
                     ok, _ = kkr_monogenic(fam)
                     report = trinomial_is_monogenic(
-                        GeneralTrinomial(2 * p, p, a, b**p),
-                        check_irreducible=False,
+                        GeneralTrinomial(2 * p, p, a, b**p)
                     )
                     assert ok == report.monogenic, fam
 

@@ -11,6 +11,7 @@ from monotri.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     ROW_FIELDS,
+    UsageError,
     load_config,
     main,
 )
@@ -212,6 +213,21 @@ class TestGaloisSample:
         )
         assert code == EXIT_USAGE and "reducible" in err
 
+    def test_csv_is_a_header_and_one_row(self, capsys):
+        code, out, _ = run(
+            capsys, "galois-sample", "-p", "3", "-a", "1", "-b", "1",
+            "--prime-budget", "400", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        header, row = csv.reader(io.StringIO(out))
+        assert header == [
+            "p", "a", "b", "claimed", "claimed_order", "primes_used",
+            "observed_orders", "split_fraction", "verdict",
+        ]
+        fields = dict(zip(header, row))
+        assert fields["primes_used"] == "400"
+        assert fields["verdict"] == "consistent"
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_prime_budget_below_one_is_usage_error(self, capsys, budget):
         code, out, err = run(
@@ -229,16 +245,41 @@ class TestConfig:
 
     def test_file(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("# comment\nprime_budget = 137\nsplit_rel_tol=0.5\n")
+        path.write_text("# comment\nprime_budget = 137\nrho_budget=77\n")
         cfg = load_config(str(path))
         assert cfg.prime_budget == 137
-        assert cfg.split_rel_tol == 0.5
+        assert cfg.rho_budget == 77
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("bogus = 1\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError, match="unknown config key: bogus"):
             load_config(str(path))
+
+    def test_bad_value_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("prime_budget = abc\n")
+        with pytest.raises(UsageError, match="prime_budget needs an integer"):
+            load_config(str(path))
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot read config file"):
+            load_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["prime_budget = abc\n", "bogus = 1\n", "split_rel_tol = 0.35\n", None],
+    )
+    def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(
+            capsys, "classify", "-p", "5", "-a", "3", "-b", "1",
+            "--config", str(path),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_env_var(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg"

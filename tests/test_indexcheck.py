@@ -3,9 +3,9 @@ import random
 import pytest
 
 from monotri import arith, cli, indexcheck, poly
+from monotri import classify as cls
 from monotri.arith import FactorizationBudgetExceeded
 from monotri.indexcheck import (
-    EngineGap,
     GeneralTrinomial,
     NotADiscriminantPrime,
     Reducible,
@@ -83,7 +83,7 @@ class TestJksIndexFree:
     def test_rejects_q_below_two(self, q):
         t = GeneralTrinomial(3, 1, 5, 5)
         with pytest.raises(arith.NotPrime):
-            jks_index_free(t, q, check_irreducible=False)
+            jks_index_free(t, q)
 
     def test_condition_iv_degree_ten(self):
         v = jks_index_free(GeneralTrinomial(10, 5, 3, 1), 5)
@@ -113,17 +113,15 @@ class TestJksIndexFree:
         with pytest.raises(NotADiscriminantPrime):
             jks_index_free(GeneralTrinomial(10, 5, 3, 1), 7)
 
-    def test_rejects_reducible(self):
-        t = GeneralTrinomial(6, 3, 3, 2)  # (x^3 + 1)(x^3 + 2)
-        assert not poly.is_irreducible_over_Q(t.polynomial())
-        q = None
-        d = swan_general_discriminant(t)
-        for cand in (2, 3, 5, 7):
-            if d % cand == 0:
-                q = cand
-                break
-        with pytest.raises(Reducible):
-            jks_index_free(t, q)
+    def test_rejects_repeated_roots(self):
+        t = GeneralTrinomial(6, 3, 2, 1)  # (x^3 + 1)^2
+        with pytest.raises(Reducible, match="zero discriminant"):
+            jks_index_free(t, 3)
+
+    def test_degree_106_needs_no_irreducibility_test(self):
+        # x^106 + 12345 x^53 + 2^53: q = 53 divides m but not AB
+        v = jks_index_free(GeneralTrinomial(106, 53, 12345, 2**53), 53)
+        assert v.q == 53 and v.condition_used == "iv"
 
     def test_exactly_one_condition_fires(self):
         # dispatch is a partition on (q|A, q|B, q|m)
@@ -137,7 +135,7 @@ class TestJksIndexFree:
             q = 2
             if d % q:
                 continue
-            v = jks_index_free(t, q, check_irreducible=False)
+            v = jks_index_free(t, q)
             assert v.condition_used == cond
 
 
@@ -157,10 +155,8 @@ class TestDedekind:
             d = swan_general_discriminant(t)
             f = t.polynomial()
             for q in sorted(arith.factorize(d).factors):
-                a = dedekind_divides_index(f, q, check_irreducible=False)
-                b = dedekind_divides_index(
-                    f, q, check_irreducible=False, symmetric_lift=True
-                )
+                a = dedekind_divides_index(f, q)
+                b = dedekind_divides_index(f, q, symmetric_lift=True)
                 assert a == b
 
     @pytest.mark.parametrize("q", [1, 4, 9, 15, -5])
@@ -181,10 +177,29 @@ class TestDedekind:
         ]
         for f, q, expected in examples:
             for symmetric_lift in (False, True):
-                got = dedekind_divides_index(
-                    f, q, check_irreducible=False, symmetric_lift=symmetric_lift
-                )
+                got = dedekind_divides_index(f, q, symmetric_lift=symmetric_lift)
                 assert got is expected, (f, q, symmetric_lift)
+
+
+def random_reducible_separable_corpus(size, seed):
+    """Random and family-shaped trinomials that sympy finds reducible."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < size:
+        if rng.random() < 0.5:
+            n = rng.randrange(2, 13)
+            m = rng.randrange(1, n)
+            A = rng.choice([v for v in range(-30, 31) if v])
+            B = rng.choice([v for v in range(-30, 31) if v])
+        else:
+            p = rng.choice([3, 5, 7])
+            n, m = 2 * p, p
+            A = rng.choice([v for v in range(-60, 61) if v])
+            B = rng.choice([-3, -2, -1, 1, 2, 3]) ** p
+        t = GeneralTrinomial(n, m, A, B)
+        if t.disc != 0 and not poly.is_irreducible_over_Q(t.polynomial()):
+            out.append(t)
+    return out
 
 
 class TestOracleEquivalence:
@@ -199,11 +214,25 @@ class TestOracleEquivalence:
                 continue
             f = t.polynomial()
             for q in sorted(fac.factors):
-                jks = jks_index_free(t, q, check_irreducible=False)
-                ded = dedekind_divides_index(f, q, check_irreducible=False)
+                jks = jks_index_free(t, q)
+                ded = dedekind_divides_index(f, q)
                 assert jks.divides_index == ded, (t, q)
                 compared += 1
         assert compared > 300
+
+    def test_engines_agree_on_reducible_separable(self):
+        # q | index depends only on f over Z_q, so neither engine needs f
+        # irreducible: both decide it in the maximal order of Q[x]/(f)
+        corpus = [GeneralTrinomial(6, 3, 3, 2)]  # (x^3 + 1)(x^3 + 2)
+        corpus += random_reducible_separable_corpus(60, seed=4)
+        compared = 0
+        for t in corpus:
+            f = t.polynomial()
+            for q in sorted(arith.factorize(t.disc).factors):
+                jks = jks_index_free(t, q)
+                assert jks.divides_index == dedekind_divides_index(f, q), (t, q)
+                compared += 1
+        assert compared > 100
 
 
 class TestCrosscheckCorpus:
@@ -239,9 +268,7 @@ class TestMonogenicity:
         report = trinomial_is_monogenic(t)
         f = t.polynomial()
         for v in report.checks:
-            assert v.divides_index == dedekind_divides_index(
-                f, v.q, check_irreducible=False
-            )
+            assert v.divides_index == dedekind_divides_index(f, v.q)
 
     def test_squarefree_discriminant_is_vacuous(self):
         t = GeneralTrinomial(2, 1, 3, 1)
@@ -252,10 +279,36 @@ class TestMonogenicity:
         t = GeneralTrinomial(11, 2, 17, 19)
         assert poly.is_irreducible_over_Q(t.polynomial())
         with pytest.raises(FactorizationBudgetExceeded):
-            trinomial_is_monogenic(
-                t, check_irreducible=False, trial_bound=10, rho_budget=5
-            )
+            trinomial_is_monogenic(t, trial_bound=10, rho_budget=5)
 
     def test_reducible_rejected(self):
         with pytest.raises(Reducible):
             trinomial_is_monogenic(GeneralTrinomial(6, 3, 2, 1))
+
+    def test_degree_46_needs_no_irreducibility_test(self):
+        t = GeneralTrinomial(46, 23, 3, 1)
+        report = trinomial_is_monogenic(t)
+        assert report.monogenic
+        assert [v.q for v in report.checks] == [5, 23]
+        for v in report.checks:
+            assert not dedekind_divides_index(t.polynomial(), v.q)
+
+
+class TestNoIrreducibilityOracleAtRuntime:
+    @pytest.fixture(autouse=True)
+    def forbid(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("runtime path called is_irreducible_over_Q")
+
+        monkeypatch.setattr(poly, "is_irreducible_over_Q", forbidden)
+
+    def test_engines(self):
+        t = GeneralTrinomial(10, 5, 3, 1)
+        assert not jks_index_free(t, 5).divides_index
+        assert not dedekind_divides_index(t.polynomial(), 5)
+        assert trinomial_is_monogenic(t).monogenic
+
+    @pytest.mark.parametrize("a", [3, 4])  # delta = 5 and delta = 12
+    def test_classify(self, a):
+        c = cls.classify(cls.TrinomialFamily(5, a, 1))
+        assert c.irreducible and c.monogenic is True
