@@ -135,14 +135,21 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
 
 
 def _dickson_trace(s: int, n: int, k: int) -> int:
-    """gamma^k + conj(gamma)^k where gamma + conj = s, gamma*conj = n."""
-    # D_0 = 2, D_1 = s, D_j = s D_{j-1} - n D_{j-2}
-    if k == 0:
-        return 2
-    prev, cur = 2, s
-    for _ in range(k - 1):
-        prev, cur = cur, s * cur - n * prev
-    return cur
+    """gamma^k + conj(gamma)^k where gamma + conj = s, gamma*conj = n.
+
+    This is the Lucas sequence V_k(s, n), the Dickson value D_k(s, n).
+    A binary ladder on (V_j, V_{j+1}, n^j) reads the bits of k from the
+    top (Joye and Quisquater 1996), so it takes O(log k) multiplications:
+
+        V_{2j} = V_j^2 - 2 n^j,    V_{2j+1} = V_j V_{j+1} - s n^j.
+    """
+    v, w, nj = 2, s, 1  # V_j, V_{j+1}, n^j at j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w, nj = v * w - s * nj, w * w - 2 * n * nj, n * nj * nj
+        else:
+            v, w, nj = v * v - 2 * nj, v * w - s * nj, nj * nj
+    return v
 
 
 def _ceil_root(n: int, k: int) -> int:
@@ -168,6 +175,7 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     integer of norm b and some integer trace s, and then
     trace(gamma^p) = D_p(s, b) must equal -a; so f is reducible iff the
     Dickson value D_p(s, b) hits -a for some integer s in a small range.
+    Each candidate s costs one `_dickson_trace`, O(log p) multiplications.
     """
     p, a, b = fam.p, fam.a, fam.b
     d = delta(fam)

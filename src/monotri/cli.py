@@ -272,6 +272,8 @@ def corollary_scan_rows(z_max: int, budget: dict):
 
 def cmd_corollary_scan(args) -> int:
     cfg = _config_from(args)
+    if args.z_max < 1:
+        raise UsageError(f"z_max must be at least 1, got {args.z_max}")
     writer = RowWriter(args.format, SCAN_FIELDS)
     ok = True
     for row in corollary_scan_rows(args.z_max, cfg.factor_budget()):
@@ -335,6 +337,8 @@ def run_crosscheck(corpus, budget: dict, seed: int = 0):
 
 def cmd_crosscheck(args) -> int:
     cfg = _config_from(args)
+    if args.size < 1:
+        raise UsageError(f"corpus size must be at least 1, got {args.size}")
     corpus = crosscheck_corpus(args.size, args.seed)
     print(f"corpus: {len(corpus)} irreducible trinomials", file=sys.stderr)
     report = run_crosscheck(corpus, cfg.factor_budget())

@@ -113,27 +113,42 @@ def swan_general_discriminant(t: GeneralTrinomial) -> int:
     return (-1) ** (n * (n - 1) // 2) * B ** (m - 1) * core**t.d0
 
 
-def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> IntPolynomial:
-    """H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q with Q = q^r, exactly."""
-    # (-A x^s - B)^Q = sum_i C(Q,i) (-A)^i (-B)^{Q-i} x^{s i}
+def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> ModPolynomial:
+    """H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q mod q, with Q = q^r, q ∤ AB.
+
+    Each numerator coefficient C(Q,i) (-A)^i (-B)^{Q-i}, plus A at i = Q
+    and B at i = 0, is needed only mod q^2.  C(Q,i) is carried as q^v
+    times a unit mod q^2 and the powers of -A and -B mod q^2, so no
+    integer much wider than q^4 appears whatever Q is.
+    """
+    q2 = q * q
     coeffs = [0] * (s * Q + 1)
-    binom = 1
+    v, unit = 0, 1  # C(Q,i) = q^v * unit
     powA = 1
-    powB = (-B) ** Q
+    powB = pow(-B, Q, q2)
+    invB = pow(-B, -1, q2)
     for i in range(Q + 1):
-        c = binom * powA * powB
+        c = unit * powA % q2 * powB % q2 * q**v if v < 2 else 0
         if i == Q:
             c += A
         if i == 0:
             c += B
+        c %= q2
         assert c % q == 0, "H2 numerator not divisible by q"
         coeffs[s * i] = c // q
         if i < Q:
-            # advance C(Q,i), (-A)^i, (-B)^{Q-i}
-            binom = binom * (Q - i) // (i + 1)
-            powA *= -A
-            powB //= -B
-    return IntPolynomial(coeffs)
+            # C(Q,i+1) = C(Q,i) (Q-i)/(i+1): move the q's of both into v
+            num, den = Q - i, i + 1
+            while num % q == 0:
+                num //= q
+                v += 1
+            while den % q == 0:
+                den //= q
+                v -= 1
+            unit = unit * (num % q2) % q2 * pow(den, -1, q2) % q2
+            powA = powA * -A % q2
+            powB = powB * invB % q2
+    return ModPolynomial(q, coeffs)
 
 
 def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
@@ -199,7 +214,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         Q = q**r
         s = m // Q
         h1 = reduce_mod(trinomial(n // Q, s, A, B), q)
-        h2 = reduce_mod(_build_h2(A, B, s, Q, q), q)
+        h2 = _build_h2(A, B, s, Q, q)
         g = gcd_mod(h1, h2)
         free = g.degree == 0
         detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {g.degree}"

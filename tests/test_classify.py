@@ -66,6 +66,30 @@ class TestDeltaAndDiscriminant:
         assert swan_disc_f(TrinomialFamily(3, 1, 1)) == -19683
 
 
+def linear_dickson(s, n, k):
+    """Oracle: D_0 = 2, D_1 = s, D_j = s D_{j-1} - n D_{j-2}."""
+    if k == 0:
+        return 2
+    prev, cur = 2, s
+    for _ in range(k - 1):
+        prev, cur = cur, s * cur - n * prev
+    return cur
+
+
+class TestDicksonTrace:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-8, 8),
+        st.sampled_from([1, 2, 3, 5, -1, -2, -3, -5]),
+        st.integers(0, 63),
+    )
+    def test_doubling_matches_recurrence(self, s, n, k):
+        assert _dickson_trace(s, n, k) == linear_dickson(s, n, k)
+
+    def test_large_k(self):
+        assert _dickson_trace(3, 1, 1009) == linear_dickson(3, 1, 1009)
+
+
 class TestIrreducibility:
     def test_square_delta_reducible(self):
         assert not family_is_irreducible(TrinomialFamily(3, 2, -2))  # delta=36

@@ -165,6 +165,12 @@ class TestCorollaryScan:
                 assert r["unique_a"] is True
                 assert r["galois"] == f"C{r['p']}:C{r['p'] - 1}"
 
+    @pytest.mark.parametrize("z_max", ["0", "-3"])
+    def test_empty_z_range_rejected(self, capsys, z_max):
+        code, out, err = run(capsys, "corollary-scan", z_max)
+        assert code == EXIT_USAGE
+        assert out == "" and "z_max must be at least 1" in err
+
 
 class TestCrosscheck:
     def test_small_corpus_fully_agrees(self, capsys):
@@ -184,7 +190,13 @@ class TestCrosscheck:
                          "--seed", "2", "--format", "jsonl")
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["disagreements"] == r2["disagreements"] == 0
-        assert r1["total"] != r2["total"] or r1 == r1  # corpora differ in general
+        assert cli.crosscheck_corpus(30, 1) != cli.crosscheck_corpus(30, 2)
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_empty_corpus_rejected(self, capsys, size):
+        code, out, err = run(capsys, "crosscheck", "--size", size)
+        assert code == EXIT_USAGE
+        assert out == "" and "corpus size must be at least 1" in err
 
 
 class TestGaloisSample:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotri import arith, cli, indexcheck, poly
 from monotri import classify as cls
@@ -9,12 +11,34 @@ from monotri.indexcheck import (
     GeneralTrinomial,
     NotADiscriminantPrime,
     Reducible,
+    _build_h2,
     dedekind_divides_index,
     jks_index_free,
     swan_general_discriminant,
     trinomial_is_monogenic,
 )
 from monotri.poly import IntPolynomial
+
+
+def big_integer_h2(A, B, s, Q, q):
+    """Oracle: H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q over Z, exactly."""
+    coeffs = [0] * (s * Q + 1)
+    binom = 1
+    powA = 1
+    powB = (-B) ** Q
+    for i in range(Q + 1):
+        c = binom * powA * powB
+        if i == Q:
+            c += A
+        if i == 0:
+            c += B
+        assert c % q == 0, "H2 numerator not divisible by q"
+        coeffs[s * i] = c // q
+        if i < Q:
+            binom = binom * (Q - i) // (i + 1)
+            powA *= -A
+            powB //= -B
+    return IntPolynomial(coeffs)
 
 
 def random_irreducible_corpus(size, seed, n_max=12, coeff_max=20):
@@ -99,11 +123,10 @@ class TestJksIndexFree:
         assert not v.divides_index and v.condition_used == "v"
 
     def test_h2_shape_for_sextics(self):
-        # H2 for x^6 +- x^3 + 1 at q=3 reduces to -x(x +- 1)
-        from monotri.indexcheck import _build_h2
-
+        # H2 for x^6 +- x^3 + 1 at q=3 is -x(x +- 1) mod 3
         for A in (1, -1):
-            h2 = poly.reduce_mod(_build_h2(A, 1, 1, 3, 3), 3)
+            h2 = _build_h2(A, 1, 1, 3, 3)
+            assert h2.modulus == 3
             expect = poly.ModPolynomial(3, [0, 1]) * poly.ModPolynomial(
                 3, [A, 1]
             ) * -1
@@ -137,6 +160,44 @@ class TestJksIndexFree:
                 continue
             v = jks_index_free(t, q)
             assert v.condition_used == cond
+
+
+def unit_mod(q):
+    """Integers in [-10^6, 10^6] prime to q."""
+    return st.integers(-(10**6), 10**6).filter(lambda v: v % q != 0)
+
+
+class TestBuildH2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_big_integer_h2_mod_q(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        r = data.draw(st.integers(1, 2))
+        s = data.draw(st.integers(1, 3))
+        A, B = data.draw(unit_mod(q)), data.draw(unit_mod(q))
+        Q = q**r
+        expect = poly.reduce_mod(big_integer_h2(A, B, s, Q, q), q)
+        assert _build_h2(A, B, s, Q, q) == expect
+
+    @pytest.mark.parametrize("z", [1, 3, 5, 7])
+    def test_engine_matches_dedekind_on_corollary_families(self, z):
+        # (p, z, -1) with p = z^2 + 4: branch (iv) at q = p with Q = p
+        p = z * z + 4
+        t = GeneralTrinomial(2 * p, p, z, -1)
+        v = jks_index_free(t, p)
+        assert v.condition_used == "iv"
+        assert v.divides_index == dedekind_divides_index(t.polynomial(), p)
+
+    def test_engine_matches_dedekind_at_q_squared(self):
+        # x^18 + A x^9 + B at q = 3: 9 | gcd(18, 9), so Q = 9 (r = 2)
+        seen = set()
+        for A, B in [(1, 1), (-8, -1), (-7, 1), (-5, -5), (4, 7), (-8, 7)]:
+            t = GeneralTrinomial(18, 9, A, B)
+            v = jks_index_free(t, 3)
+            assert v.condition_used == "iv"
+            assert v.divides_index == dedekind_divides_index(t.polynomial(), 3)
+            seen.add(v.divides_index)
+        assert seen == {True, False}
 
 
 class TestDedekind:
