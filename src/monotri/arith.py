@@ -1,16 +1,19 @@
 """Arbitrary-precision integer primitives.
 
 Primality, bounded factorization, squarefree testing, valuations and exact
-square roots.  Everything here is a pure function of its arguments, so the
-module is safe to call from any number of threads.
+square roots.  Factorization divides by the primes up to its trial bound,
+read from one sieve table built on first use, before Pollard-Brent rho.
+That table is the module's only state; it is replaced whole, never edited,
+so every function here is safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 
 __all__ = [
     "FactoredInteger",
@@ -45,6 +48,9 @@ _CITED_BITS = 4096
 
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
+
+# (limit, every prime <= limit): the trial divisors, grown on demand.
+_trial_table = (1, [])
 
 
 class FactorizationBudgetExceeded(Exception):
@@ -102,6 +108,21 @@ def _small_primes(n):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
     return list(compress(range(n + 1), sieve))
+
+
+def _trial_primes(bound):
+    """(table, k): the first k entries of table are the primes <= bound.
+
+    The table is sieved on first use and re-sieved, at least doubling,
+    when a larger bound is asked for; a smaller bound reads a prefix.
+    """
+    global _trial_table
+    limit, table = _trial_table
+    if bound > limit:
+        limit = max(bound, 2 * limit)
+        table = _small_primes(limit)
+        _trial_table = (limit, table)
+    return table, bisect_right(table, bound)
 
 
 def primes(start: int = 2):
@@ -223,8 +244,12 @@ def factorize(
 ) -> FactoredInteger:
     """Full prime factorization of n != 0.
 
-    Trial division up to trial_bound, then Pollard-Brent rho with an
-    iteration budget; budget exhaustion raises rather than guessing.
+    2 is always divided out.  Then n is divided by each odd prime p <=
+    trial_bound, from the cached sieve table, until p*p exceeds what is
+    left; a cofactor below the square of the next untried candidate is
+    prime.  Any other cofactor goes to is_prime and then to Pollard-Brent
+    rho with an iteration budget; budget exhaustion raises rather than
+    guessing.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -235,15 +260,25 @@ def factorize(
     def add(p, e=1):
         factors[p] = factors.get(p, 0) + e
 
-    while n % 2 == 0:
-        add(2)
-        n //= 2
-    d = 3
-    while d * d <= n and d <= trial_bound:
-        while n % d == 0:
-            add(d)
-            n //= d
-        d += 2
+    e = (n & -n).bit_length() - 1
+    if e:
+        add(2, e)
+        n >>= e
+    # No prime above sqrt(n) is ever tried, so the table need not reach it.
+    bound = min(trial_bound, math.isqrt(n))
+    table, k = _trial_primes(bound)
+    d = max(3, (bound + 1) | 1)  # the smallest odd number past the table
+    for p in islice(table, 1, k):
+        if p * p > n:
+            d = p
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            add(p, e)
     if n == 1:
         return FactoredInteger(sign, factors)
     if d * d > n or is_prime(n):

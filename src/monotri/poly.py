@@ -203,7 +203,23 @@ class ModPolynomial:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder of divmod(self, other), without the quotient."""
+        self._check(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        db = other.degree
+        if self.degree < db:
+            return self
+        q = self.modulus
+        inv_lc = pow(other.lc, -1, q)
+        low = other.coeffs[:-1]
+        rem = list(self.coeffs)
+        for i in range(len(rem) - 1 - db, -1, -1):
+            c = rem[i + db] * inv_lc % q
+            if c:
+                for j, b in enumerate(low, i):
+                    rem[j] = (rem[j] - c * b) % q
+        return ModPolynomial(q, rem[:db])
 
     def monic(self) -> "ModPolynomial":
         if self.is_zero():

@@ -1,7 +1,11 @@
+import math
 import random
+import sys
+import threading
 from itertools import islice
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,10 +73,135 @@ class TestPrimes:
         )
 
 
+def odd_d_factorize(n, trial_bound, rho_budget):
+    """factorize by trial division over every odd d: the oracle for the
+    prime-table loop, which must try the same primes, pass on the same
+    cofactor and so give the same result or the same Unknown."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    factors = {}
+
+    def add(p, e=1):
+        factors[p] = factors.get(p, 0) + e
+
+    while n % 2 == 0:
+        add(2)
+        n //= 2
+    d = 3
+    while d * d <= n and d <= trial_bound:
+        while n % d == 0:
+            add(d)
+            n //= d
+        d += 2
+    if n == 1:
+        return arith.FactoredInteger(sign, factors)
+    if d * d > n or is_prime(n):
+        add(n)
+        return arith.FactoredInteger(sign, factors)
+
+    rng = random.Random(n)
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            add(m)
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack.extend([root, root])
+            continue
+        g = arith._pollard_brent(m, rho_budget, rng)
+        stack.extend([g, m // g])
+    return arith.FactoredInteger(sign, factors)
+
+
+TRIAL_BOUNDS = [0, 1, 2, 3, 4, 50, 1000, 100_000]
+
+
+@st.composite
+def _trial_division_cases(draw):
+    """(n, T): small prime powers, times optionally a prime in (T, T^2)
+    that trial division leaves, times optionally a power of a prime
+    above T."""
+    t = draw(st.sampled_from(TRIAL_BOUNDS))
+    n = draw(st.sampled_from([1, -1]))
+    for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 47, 997]))):
+        n *= q ** draw(st.integers(1, 4))
+    floor = max(t, 3)
+    if draw(st.booleans()):
+        n *= sympy.nextprime(draw(st.integers(floor, floor * floor - 1)))
+    if draw(st.booleans()):
+        q = sympy.nextprime(draw(st.integers(floor, 10 * floor)))
+        n *= q ** draw(st.integers(1, 3))
+    return n, t
+
+
 class TestFactorize:
     def test_simple(self):
         f = factorize(12)
         assert f.sign == 1 and f.factors == {2: 2, 3: 1}
+
+    def test_two_is_divided_out_below_every_bound(self):
+        assert factorize(12, trial_bound=0).factors == {2: 2, 3: 1}
+
+    @given(_trial_division_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_odd_d_oracle(self, case):
+        n, t = case
+        assert factorize(n, trial_bound=t) == odd_d_factorize(
+            n, t, arith.DEFAULT_RHO_BUDGET
+        )
+
+    @given(_trial_division_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_odd_d_oracle_under_tiny_rho_budget(self, case):
+        n, t = case
+
+        def outcome(fn):
+            try:
+                return fn(n, trial_bound=t, rho_budget=2)
+            except FactorizationBudgetExceeded as exc:
+                return str(exc)
+
+        assert outcome(factorize) == outcome(odd_d_factorize)
+
+    def test_threads_share_the_prime_table_safely(self, monkeypatch):
+        # One thread keeps dropping the cached table while the others
+        # regrow it to different bounds; every result must stay exact.
+        # 1009 * 1013 < 1011**2: skipping 1009 would call it prime.
+        cases = [
+            (n, t)
+            for n in (1009 * 1013, 3**5 * 1009 * 100_003 * 1_000_003)
+            for t in (10, 1000, 2000, 50_000, 100_000, 200_000)
+        ]
+        want = [odd_d_factorize(n, t, arith.DEFAULT_RHO_BUDGET) for n, t in cases]
+        monkeypatch.setattr(arith, "_trial_table", (1, []))
+        wrong = []
+
+        def worker(resets):
+            for _ in range(15):
+                for (n, t), expected in zip(cases, want):
+                    if resets:
+                        arith._trial_table = (1, [])
+                    if factorize(n, trial_bound=t) != expected:
+                        wrong.append((n, t))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i == 0,)) for i in range(4)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
     def test_negative_discriminant_value(self):
         # -19683 is the family discriminant at (p,a,b) = (3,1,1)

@@ -347,6 +347,22 @@ class TestClassify:
         assert c.monogenic is None
         assert any("unknown" in r for r in c.reason)
 
+    @pytest.mark.parametrize(
+        "budget, cofactor",
+        [
+            (
+                {"trial_bound": 2, "rho_budget": 2},
+                "3540705968149600538911052174502331719921000953125",
+            ),
+            ({"rho_budget": 2}, "226605181961574434490307339168149230074944061"),
+        ],
+    )
+    def test_unknown_names_the_cofactor_left_by_trial_division(
+        self, budget, cofactor
+    ):
+        c = classify(TrinomialFamily(3, 123456789, -1), **budget)
+        assert c.reason[-1] == f"unknown: rho budget 2 exhausted on {cofactor}"
+
     def test_irreducibility_is_decided_once_per_family(self, monkeypatch):
         calls = []
 

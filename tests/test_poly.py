@@ -57,6 +57,39 @@ class TestGcdMod:
             gcd_mod(ModPolynomial(5, [1, 1]), ModPolynomial(7, [1, 1]))
 
 
+@st.composite
+def _dividend_and_divisor(draw):
+    """(a, b) over F_q with degrees up to 30 in either order; b is nonzero
+    and its leading coefficient is any unit, not only 1."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    coeff = st.integers(0, q - 1)
+    a = draw(st.lists(coeff, max_size=31))
+    b = draw(st.lists(coeff, max_size=30)) + [draw(st.integers(1, q - 1))]
+    return ModPolynomial(q, a), ModPolynomial(q, b)
+
+
+class TestRemainder:
+    @given(_dividend_and_divisor())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_divmod_remainder(self, case):
+        a, b = case
+        quo, rem = divmod(a, b)
+        assert a % b == rem
+        assert quo * b + rem == a
+
+    def test_lower_degree_dividend_is_its_own_remainder(self):
+        a = ModPolynomial(7, [3, 0, 5])
+        assert a % ModPolynomial(7, [1, 2, 0, 4]) == a
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            ModPolynomial(5, [1, 1]) % ModPolynomial(5, [])
+
+    def test_modulus_mismatch(self):
+        with pytest.raises(ModulusMismatch):
+            ModPolynomial(5, [1, 1]) % ModPolynomial(7, [1, 1])
+
+
 class TestDiscriminant:
     def test_quadratic_with_delta_5(self):
         assert discriminant(IntPolynomial([1, 3, 1])) == 5
