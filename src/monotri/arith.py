@@ -5,6 +5,8 @@ square roots.  Factorization divides by the primes up to its trial bound,
 read from one sieve table built on first use, before Pollard-Brent rho.
 That table is the module's only state; it is replaced whole, never edited,
 so every function here is safe to call from any number of threads.
+Factorization and valuation remove a prime's whole power in O(log e) big
+divisions, not e.
 """
 
 from __future__ import annotations
@@ -237,6 +239,25 @@ def _pollard_brent(n, budget, rng):
             return g
 
 
+def _divide_out(n, p):
+    """(m, e) with n == m * p**e and p not dividing m, for n > 0, p >= 2.
+
+    Divides by p, p^2, p^4, ... while they divide (each call strips one
+    p, then recurses on p*p), then on the way back down divides by each
+    of those powers that still divides: O(log e) big divisions instead
+    of e, and one division when p does not divide n.
+    """
+    m, r = divmod(n, p)
+    if r:
+        return n, 0
+    n, e = _divide_out(m, p * p)
+    # p*p does not divide n, so at most one more p does.
+    m, r = divmod(n, p)
+    if r:
+        return n, 2 * e + 1
+    return m, 2 * e + 2
+
+
 def factorize(
     n: int,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
@@ -246,10 +267,11 @@ def factorize(
 
     2 is always divided out.  Then n is divided by each odd prime p <=
     trial_bound, from the cached sieve table, until p*p exceeds what is
-    left; a cofactor below the square of the next untried candidate is
-    prime.  Any other cofactor goes to is_prime and then to Pollard-Brent
-    rho with an iteration budget; budget exhaustion raises rather than
-    guessing.
+    left; a prime that divides has its whole power removed at once by
+    _divide_out.  A cofactor below the square of the next untried
+    candidate is prime.  Any other cofactor goes to is_prime and then to
+    Pollard-Brent rho with an iteration budget; budget exhaustion raises
+    rather than guessing.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -273,12 +295,8 @@ def factorize(
             d = p
             break
         if n % p == 0:
-            n //= p
-            e = 1
-            while n % p == 0:
-                n //= p
-                e += 1
-            add(p, e)
+            n, e = _divide_out(n // p, p)
+            add(p, e + 1)
     if n == 1:
         return FactoredInteger(sign, factors)
     if d * d > n or is_prime(n):
@@ -309,17 +327,15 @@ def is_squarefree(n: int, **budget) -> bool:
 
 
 def valuation(n: int, q: int) -> int:
-    """Largest e with q^e | n, for prime q and n != 0."""
-    if not is_prime(q):
+    """Largest e with q^e | n, for prime q >= 2 and n != 0.
+
+    Takes O(log e) big divisions (see _divide_out).
+    """
+    if q < 2 or not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e
+    return _divide_out(abs(n), q)[1]
 
 
 def exact_square_root(n: int):

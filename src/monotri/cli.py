@@ -439,6 +439,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 means Unknown here
         return EXIT_USAGE if exc.code else EXIT_OK
+    # Rows hold exact integers of any size: lift the int-to-str digit
+    # limit (Python >= 3.10.7) for the command, and restore it after.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (UsageError, Reducible) as exc:
@@ -448,6 +453,9 @@ def main(argv=None) -> int:
         # a bug, not a bad request: keep it apart from EXIT_USAGE
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from monotri.arith import (
     primes,
     valuation,
 )
+from monotri.classify import TrinomialFamily, swan_disc_f
 
 
 class TestIsPrime:
@@ -120,15 +121,22 @@ def odd_d_factorize(n, trial_bound, rho_budget):
 TRIAL_BOUNDS = [0, 1, 2, 3, 4, 50, 1000, 100_000]
 
 
+# Exponents of 1-4, and in the hundreds to low thousands as in a family
+# discriminant, where every prime has an exponent of at least p.
+_EXPONENTS = st.one_of(st.integers(1, 4), st.integers(100, 2500))
+
+
 @st.composite
 def _trial_division_cases(draw):
     """(n, T): small prime powers, times optionally a prime in (T, T^2)
     that trial division leaves, times optionally a power of a prime
-    above T."""
+    above T.  Primes below 47 that trial division reaches may take large
+    exponents; above T they would only feed rho a huge cofactor."""
     t = draw(st.sampled_from(TRIAL_BOUNDS))
     n = draw(st.sampled_from([1, -1]))
     for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 47, 997]))):
-        n *= q ** draw(st.integers(1, 4))
+        big = q < 47 and q <= max(t, 2)
+        n *= q ** draw(_EXPONENTS if big else st.integers(1, 4))
     floor = max(t, 3)
     if draw(st.booleans()):
         n *= sympy.nextprime(draw(st.integers(floor, floor * floor - 1)))
@@ -211,6 +219,11 @@ class TestFactorize:
     def test_prime_power(self):
         assert factorize(5**15).factors == {5: 15}
 
+    def test_large_p_family_discriminant(self):
+        # (p, a, b) = (1009, 3, 1): disc f = 1009^2018 * 5^1009, 22,480 bits
+        f = factorize(swan_disc_f(TrinomialFamily(1009, 3, 1)))
+        assert f.sign == 1 and f.factors == {5: 1009, 1009: 2018}
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
@@ -263,13 +276,27 @@ class TestValuation:
         with pytest.raises(NotPrime):
             valuation(8, 4)
 
+    @pytest.mark.parametrize("q", [-3, -2, 0, 1])
+    def test_below_two_rejected(self, q):
+        # -2 and -3 are not primes, though their absolute values are
+        with pytest.raises(NotPrime):
+            valuation(8, q)
+
     @given(
         st.integers(min_value=1, max_value=10**6),
         st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.one_of(st.just(0), _EXPONENTS),
+        st.sampled_from([1, -1]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_factorization(self, n, q):
-        assert valuation(n, q) == factorize(n).exponent_of(q)
+    def test_matches_factorization(self, m, q, e, sign):
+        n = sign * m * q**e
+        expected = e
+        while m % q == 0:
+            m //= q
+            expected += 1
+        assert valuation(n, q) == expected
+        assert factorize(n).exponent_of(q) == expected
 
 
 class TestIsSquarefree:

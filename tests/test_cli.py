@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 from monotri import cli
+from monotri.classify import TrinomialFamily, swan_disc_f
 from monotri.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -21,6 +23,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _str_digit_limit():
+    """The int-to-str digit limit, or None where Python has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 class TestClassifyCommand:
@@ -79,10 +86,13 @@ class TestClassifyCommand:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli.cls, "classify", broken)
+        limit = _str_digit_limit()
         code, out, err = run(capsys, "classify", "-p", "5", "-a", "3", "-b", "1")
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
+        # the lifted int-to-str limit is restored on the error path too
+        assert _str_digit_limit() == limit
 
     def test_csv_header(self, capsys):
         code, out, _ = run(
@@ -100,6 +110,46 @@ class TestClassifyCommand:
         b = run(capsys, "classify", "-p", "5", "-a", "3", "-b", "1",
                 "--format", "jsonl")
         assert a == b
+
+
+class TestLargeRows:
+    """A p in the thousands gives a disc_f far past the 4300-digit
+    int-to-str limit; every format still prints it exactly."""
+
+    LARGE = [(1009, 3, 1), (2003, 3, 1), (4001, 5, -1)]
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl", "csv"])
+    @pytest.mark.parametrize("fam", LARGE)
+    def test_every_format_exits_zero(self, capsys, fam, fmt):
+        limit = _str_digit_limit()
+        p, a, b = fam
+        code, out, err = run(
+            capsys, "classify", "-p", str(p), "-a", str(a), "-b", str(b),
+            "--format", fmt,
+        )
+        assert code == EXIT_OK, err
+        assert err == ""
+        # a header line and one row, or one JSON line
+        assert out.count("\n") == (1 if fmt == "jsonl" else 2)
+        assert _str_digit_limit() == limit
+
+    def test_jsonl_disc_f_is_exact(self, capsys):
+        limit = _str_digit_limit()
+        code, out, _ = run(
+            capsys, "classify", "-p", "1009", "-a", "3", "-b", "1",
+            "--format", "jsonl",
+        )
+        assert code == EXIT_OK
+        assert _str_digit_limit() == limit
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            row = json.loads(out)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert row["disc_f"] == swan_disc_f(TrinomialFamily(1009, 3, 1))
+        assert row["field_discriminant"] == row["disc_f"]
 
 
 class TestEnumerateCommand:
