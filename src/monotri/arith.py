@@ -1,10 +1,11 @@
 """Arbitrary-precision integer primitives.
 
-Primality, bounded factorization, squarefree testing, valuations and exact
-square roots.  Factorization divides by the primes up to its trial bound,
-read from one sieve table built on first use, before Pollard-Brent rho.
-That table is the module's only state; it is replaced whole, never edited,
-so every function here is safe to call from any number of threads.
+Primality, bounded factorization, squarefree testing, valuations, exact
+square roots and the walk over the primes.  One sieve table, grown on
+demand, serves both trial division (the primes up to factorize's trial
+bound, before Pollard-Brent rho) and the walk.  That table is the
+module's only state; it is replaced whole, never edited, so every
+function here is safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
 divisions, not e.
 """
@@ -39,19 +40,14 @@ _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # by the input itself, so the answer is deterministic per input.
 _LARGE_ROUNDS = 64
 
-# Segment lengths of the prime walk, and the bound beyond which it tests
-# candidates one by one instead of keeping base primes up to 2^20.
-_MIN_SEGMENT = 1 << 10
-_MAX_SEGMENT = 1 << 18
-_SIEVE_BOUND = 1 << 40
-
 # Cofactors longer than this are not written out in full in an Unknown.
 _CITED_BITS = 4096
 
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
 
-# (limit, every prime <= limit): the trial divisors, grown on demand.
+# (limit, every prime <= limit): the trial divisors and the prime walk,
+# grown on demand.
 _trial_table = (1, [])
 
 
@@ -102,64 +98,48 @@ def is_prime(n: int) -> bool:
     return not any(_miller_rabin_witness(n, a) for a in witnesses)
 
 
-def _small_primes(n):
-    """All primes <= n, by a plain sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
-
-
 def _trial_primes(bound):
     """(table, k): the first k entries of table are the primes <= bound.
 
-    The table is sieved on first use and re-sieved, at least doubling,
-    when a larger bound is asked for; a smaller bound reads a prefix.
+    The table starts empty.  When a larger bound is asked for it grows, at
+    least doubling, in steps (limit, new] with new <= limit^2: each step is
+    sieved by the primes already held, which reach sqrt(new).  A smaller
+    bound reads a prefix.  The table is replaced whole, never edited, so a
+    reader holding an old one stays correct.
     """
     global _trial_table
     limit, table = _trial_table
     if bound > limit:
-        limit = max(bound, 2 * limit)
-        table = _small_primes(limit)
+        if limit < 2:
+            limit, table = 2, [2]
+        while limit < bound:
+            new = min(max(bound, 2 * limit), limit * limit)
+            seg = bytearray([1]) * (new - limit)
+            for p in table:
+                if p * p > new:
+                    break
+                first = max(p * p, (limit // p + 1) * p)
+                seg[first - limit - 1 :: p] = bytes(len(range(first, new + 1, p)))
+            table = table + list(compress(range(limit + 1, new + 1), seg))
+            limit = new
         _trial_table = (limit, table)
     return table, bisect_right(table, bound)
 
 
-def primes(start: int = 2):
-    """Yield primes >= start in increasing order.
+def primes():
+    """Yield every prime in increasing order.
 
-    A segmented sieve of Eratosthenes: each segment [lo, hi) is crossed off
-    by the primes up to sqrt(hi).  Segments double up to _MAX_SEGMENT, so a
-    walk that reaches ell holds O(sqrt(ell) + segment) numbers.  Past
-    _SIEVE_BOUND, where the base primes would not fit, candidates are
-    tested one by one with is_prime.
+    The walk reads the trial-division table and doubles it whenever it
+    reaches the end, so the primes it passes stay cached for later walks
+    and for factorize.
     """
-    lo = max(2, start)
-    size = _MIN_SEGMENT
-    base = []
-    base_limit = 1
-    while lo < _SIEVE_BOUND:
-        hi = min(lo + size, _SIEVE_BOUND)
-        root = math.isqrt(hi - 1)
-        if root > base_limit:
-            base_limit = max(root, 2 * base_limit)
-            base = _small_primes(base_limit)
-        seg = bytearray([1]) * (hi - lo)
-        for p in base:
-            if p > root:
-                break
-            first = max(p * p, -(-lo // p) * p)
-            seg[first - lo :: p] = bytes(len(range(first, hi, p)))
-        yield from compress(range(lo, hi), seg)
-        lo = hi
-        size = min(2 * size, _MAX_SEGMENT)
-    n = lo | 1
+    table = _trial_primes(2)[0]
+    done = 0
     while True:
-        if is_prime(n):
-            yield n
-        n += 2
+        yield from islice(table, done, None)
+        done = len(table)
+        # By Bertrand's postulate the new table holds a prime past the old.
+        table = _trial_primes(2 * table[-1])[0]
 
 
 @dataclass(frozen=True)

@@ -396,9 +396,11 @@ def exceptional_sets(p_max: int, a_max: int, **budget):
     if p_max < 3 or a_max < 1:
         return {}
     out: dict[str, list] = {}
-    for p in arith.primes(3):
+    for p in arith.primes():
         if p > p_max:
             break
+        if p == 2:
+            continue
         for a in range(-a_max, a_max + 1):
             if a == 0:
                 continue

@@ -228,9 +228,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
     return IndexVerdict(q, not free, "v", detail)
 
 
-def dedekind_divides_index(
-    f: IntPolynomial, q: int, symmetric_lift: bool = False
-) -> bool:
+def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     """Dedekind criterion: does the prime q divide [Z_K : Z[theta]]?
 
     Precondition: f is monic and squarefree over Q; it need not be
@@ -239,8 +237,8 @@ def dedekind_divides_index(
     irreducible factors, and h the lift of (f mod q)/g, the index is
     divisible by q iff gcd((g*h - f)/q, g, h) mod q has positive degree
     (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-    §6.1.2).  The verdict does not depend on the lift convention
-    (representatives in [0,q) or symmetric).
+    §6.1.2).  g and h are lifted with coefficients in [0, q); the verdict
+    does not depend on that choice.
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
@@ -249,16 +247,9 @@ def dedekind_divides_index(
     fbar = reduce_mod(f, q)
     gbar = poly.radical_mod(fbar)
     hbar = fbar // gbar
-
-    def lift(mp: ModPolynomial) -> tuple:
-        if symmetric_lift:
-            return tuple(c - q if c > q // 2 else c for c in mp.coeffs)
-        return mp.coeffs
-
-    g, h = lift(gbar), lift(hbar)
     diff = [-c for c in f.coeffs]  # g and h are monic, so deg gh = deg f
-    for i, gi in enumerate(g):
-        for j, hj in enumerate(h):
+    for i, gi in enumerate(gbar.coeffs):
+        for j, hj in enumerate(hbar.coeffs):
             diff[i + j] += gi * hj
     assert all(c % q == 0 for c in diff)
     tbar = ModPolynomial(q, [c // q for c in diff])

@@ -91,26 +91,6 @@ class IntPolynomial:
     def to_sympy(self):
         return sympy.Poly(list(reversed(self.coeffs)) or [0], _x)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    terms.append(xs)
-                elif c == -1:
-                    terms.append(f"-{xs}")
-                else:
-                    terms.append(f"{c}*{xs}")
-        return " + ".join(terms).replace("+ -", "- ")
-
 
 def trinomial(n: int, m: int, A: int, B: int) -> IntPolynomial:
     """x^n + A*x^m + B."""
@@ -248,10 +228,6 @@ class ModPolynomial:
             base = base * base % mod
             e >>= 1
         return result
-
-    def __str__(self):
-        body = str(IntPolynomial(self.coeffs)) if self.coeffs else "0"
-        return f"({body}) mod {self.modulus}"
 
 
 def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 import sympy
@@ -48,30 +48,26 @@ class TestIsPrime:
         assert not is_prime(n)
 
 
-def _primes_by_test(start):
-    n = start
-    while True:
-        if n >= 2 and is_prime(n):
-            yield n
-        n += 1
+# The 30,000th prime is 350,377: the walk passes the default trial bound
+# and grows the table several times.
+FIRST_30000 = list(islice(filter(is_prime, count(2)), 30_000))
+
+# 1_000_003 * 1_000_033 has no factor below its square root of about
+# 10^6, so factoring it at trial bound 300,000 reads the whole table.
+_TABLE_GROWER = 1_000_003 * 1_000_033
 
 
 class TestPrimes:
-    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 1000, 7919, 10**6])
-    def test_first_5000_match_primality_filter(self, start):
-        assert list(islice(primes(start), 5000)) == list(
-            islice(_primes_by_test(start), 5000)
-        )
+    def test_first_30000_match_primality_filter(self, monkeypatch):
+        monkeypatch.setattr(arith, "_trial_table", (1, []))
+        assert list(islice(primes(), 30_000)) == FIRST_30000
+        monkeypatch.setattr(arith, "_trial_table", (1, []))
+        factorize(_TABLE_GROWER, trial_bound=300_000)
+        assert arith._trial_table[0] >= 300_000
+        assert list(islice(primes(), 30_000)) == FIRST_30000
 
     def test_default_start(self):
         assert list(islice(primes(), 6)) == [2, 3, 5, 7, 11, 13]
-
-    @pytest.mark.parametrize("start", [(1 << 40) - 500, 10**30])
-    def test_beyond_the_sieve(self, start):
-        # the walk crosses from sieving to one-by-one testing seamlessly
-        assert list(islice(primes(start), 30)) == list(
-            islice(_primes_by_test(start), 30)
-        )
 
 
 def odd_d_factorize(n, trial_bound, rho_budget):
@@ -175,9 +171,22 @@ class TestFactorize:
 
         assert outcome(factorize) == outcome(odd_d_factorize)
 
+    @given(_trial_division_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_odd_d_oracle_after_a_long_walk(self, case):
+        # The walk leaves a table far past every trial bound drawn, which
+        # factorize must read only a prefix of.
+        if arith._trial_table[0] < 10**6:
+            next(islice(primes(), 100_000, None))
+        n, t = case
+        assert factorize(n, trial_bound=t) == odd_d_factorize(
+            n, t, arith.DEFAULT_RHO_BUDGET
+        )
+
     def test_threads_share_the_prime_table_safely(self, monkeypatch):
         # One thread keeps dropping the cached table while the others
-        # regrow it to different bounds; every result must stay exact.
+        # regrow it to different bounds or walk it; every result must
+        # stay exact.
         # 1009 * 1013 < 1011**2: skipping 1009 would call it prime.
         cases = [
             (n, t)
@@ -196,12 +205,19 @@ class TestFactorize:
                     if factorize(n, trial_bound=t) != expected:
                         wrong.append((n, t))
 
+        # A walk that the table's resets and regrowths must not disturb.
+        def walker():
+            for _ in range(15):
+                if list(islice(primes(), 10_000)) != FIRST_30000[:10_000]:
+                    wrong.append("walk")
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             threads = [
                 threading.Thread(target=worker, args=(i == 0,)) for i in range(4)
             ]
+            threads.append(threading.Thread(target=walker))
             for th in threads:
                 th.start()
             for th in threads:

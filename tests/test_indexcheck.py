@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monotri import arith, cli, indexcheck, poly
@@ -17,7 +17,7 @@ from monotri.indexcheck import (
     swan_general_discriminant,
     trinomial_is_monogenic,
 )
-from monotri.poly import IntPolynomial
+from monotri.poly import IntPolynomial, ModPolynomial
 
 
 def big_integer_h2(A, B, s, Q, q):
@@ -200,6 +200,48 @@ class TestBuildH2:
         assert seen == {True, False}
 
 
+def textbook_dedekind(f, q):
+    """Oracle: Dedekind's criterion with g the product of the distinct
+    irreducible factors of f mod q from factor_mod, and h = (f mod q)/g.
+    T = (g*h - f)/q is formed under the [0, q) lift and the symmetric
+    lift; the verdict gcd(T, g, h) mod q must not depend on the lift."""
+    fbar = poly.reduce_mod(f, q)
+    gbar = ModPolynomial(q, [1])
+    for irr, _ in poly.factor_mod(fbar):
+        gbar = gbar * irr
+    hbar = fbar // gbar
+    verdicts = set()
+    for lift in (lambda c: c, lambda c: c - q if c > q // 2 else c):
+        diff = [-c for c in f.coeffs]
+        for i, gi in enumerate(gbar.coeffs):
+            for j, hj in enumerate(hbar.coeffs):
+                diff[i + j] += lift(gi) * lift(hj)
+        assert all(c % q == 0 for c in diff)
+        tbar = ModPolynomial(q, [c // q for c in diff])
+        d = poly.gcd_mod(poly.gcd_mod(tbar, gbar), hbar)
+        verdicts.add(d.degree > 0)
+    assert len(verdicts) == 1, "the verdict depends on the lift"
+    return verdicts.pop()
+
+
+@st.composite
+def _planted_multiplicity_cases(draw):
+    """(f, q): monic f over Z whose reduction mod q is a product of monic
+    factors of degree 1 or 2 raised to 1, 2, q or 2q, lifted to Z with a
+    random multiple of q added below the leading term."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    fbar = ModPolynomial(q, [1])
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        coeffs = draw(st.lists(st.integers(0, q - 1), min_size=deg, max_size=deg))
+        for _ in range(draw(st.sampled_from([1, 2, q, 2 * q]))):
+            fbar = fbar * ModPolynomial(q, coeffs + [1])
+    n = fbar.degree
+    noise = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    f = IntPolynomial([c + q * r for c, r in zip(fbar.coeffs[:n], noise)] + [1])
+    return f, q
+
+
 class TestDedekind:
     def test_index_two_in_sqrt5(self):
         # Z[sqrt(5)] has index 2 in the maximal order of Q(sqrt 5)
@@ -211,14 +253,13 @@ class TestDedekind:
     def test_cubic_with_prime_discriminant(self):
         assert dedekind_divides_index(IntPolynomial([-1, -1, 0, 1]), 23) is False
 
-    def test_lift_convention_independence(self):
-        for t in random_irreducible_corpus(40, seed=17):
-            d = swan_general_discriminant(t)
-            f = t.polynomial()
-            for q in sorted(arith.factorize(d).factors):
-                a = dedekind_divides_index(f, q)
-                b = dedekind_divides_index(f, q, symmetric_lift=True)
-                assert a == b
+    @given(_planted_multiplicity_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_textbook_criterion(self, case):
+        f, q = case
+        assume(f.degree >= 2 and poly.discriminant(f) != 0)
+        want = textbook_dedekind(f, q)
+        assert dedekind_divides_index(f, q) is want
 
     @pytest.mark.parametrize("q", [1, 4, 9, 15, -5])
     def test_rejects_non_prime_q(self, q):
@@ -237,9 +278,7 @@ class TestDedekind:
             (IntPolynomial([-1, -1, 0, 1]), 23, False),
         ]
         for f, q, expected in examples:
-            for symmetric_lift in (False, True):
-                got = dedekind_divides_index(f, q, symmetric_lift=symmetric_lift)
-                assert got is expected, (f, q, symmetric_lift)
+            assert dedekind_divides_index(f, q) is expected, (f, q)
 
 
 def random_reducible_separable_corpus(size, seed):
