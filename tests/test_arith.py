@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from itertools import count, islice
+from itertools import count, dropwhile, islice
 
 import pytest
 import sympy
@@ -57,7 +57,26 @@ FIRST_30000 = list(islice(filter(is_prime, count(2)), 30_000))
 _TABLE_GROWER = 1_000_003 * 1_000_033
 
 
+def _primes_by_test(start):
+    n = start
+    while True:
+        if n >= 2 and is_prime(n):
+            yield n
+        n += 1
+
+
 class TestPrimes:
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 1000, 7919, 10**6])
+    def test_first_5000_match_primality_filter(self, start, monkeypatch):
+        # primes() walks from 2: the 5,000 primes it yields from start on
+        # must equal the is_prime filter, from whatever table the earlier
+        # tests left and again from the empty table.
+        expected = list(islice(_primes_by_test(start), 5000))
+        for table in (arith._trial_table, (1, [])):
+            monkeypatch.setattr(arith, "_trial_table", table)
+            walk = dropwhile(lambda p: p < start, primes())
+            assert list(islice(walk, 5000)) == expected
+
     def test_first_30000_match_primality_filter(self, monkeypatch):
         monkeypatch.setattr(arith, "_trial_table", (1, []))
         assert list(islice(primes(), 30_000)) == FIRST_30000
