@@ -30,10 +30,26 @@ __all__ = [
     "primes",
 ]
 
-# Below this bound the Miller-Rabin battery with the first 13 primes as
-# witnesses is a proven deterministic primality test (Sorenson-Webster).
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# _PSI[k - 1] is psi_k, the least strong pseudoprime to the first k primes
+# as bases (Jaeschke 1993; Sorenson-Webster 2017): below it the first k
+# witnesses are a proven deterministic Miller-Rabin test.
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_DETERMINISTIC_BOUND = _PSI[-1]
 
 # 64 rounds above the proven bound: compositeness escapes with
 # probability < 4^-64 = 2^-128.  Witnesses are drawn from an RNG seeded
@@ -79,8 +95,10 @@ def _miller_rabin_witness(n, a):
 def is_prime(n: int) -> bool:
     """True iff |n| is prime.
 
-    Deterministic below _DETERMINISTIC_BOUND; above it a 64-round
-    Miller-Rabin test with input-seeded witnesses (error < 2^-128).
+    Deterministic below _DETERMINISTIC_BOUND, with only the witnesses
+    that n's size needs (the first k primes below psi_k); above it a
+    64-round Miller-Rabin test with input-seeded witnesses (error <
+    2^-128).
     """
     n = abs(n)
     if n < 2:
@@ -91,7 +109,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n < _DETERMINISTIC_BOUND:
-        witnesses = _SMALL_WITNESSES
+        witnesses = _SMALL_WITNESSES[: bisect_right(_PSI, n) + 1]
     else:
         rng = random.Random(n)
         witnesses = [rng.randrange(2, n - 1) for _ in range(_LARGE_ROUNDS)]

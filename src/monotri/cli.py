@@ -346,7 +346,10 @@ def cmd_crosscheck(args) -> int:
     RowWriter(args.format, list(row)).write(row)
     for t, q, jks, ded in report["details"]:
         print(f"disagreement: {t} q={q} jks={jks} dedekind={ded}", file=sys.stderr)
-    return EXIT_OK
+    if report["disagreements"]:
+        # the two engines are the correctness argument: a split is a bug
+        return EXIT_INTERNAL
+    return EXIT_UNKNOWN if report["skipped"] else EXIT_OK
 
 
 def cmd_galois_sample(args) -> int:

@@ -3,21 +3,30 @@
 Integer polynomials are coefficient tuples, constant term first.  The
 discriminant is computed from the resultant (via sympy's exact subresultant
 machinery).  The package itself uses Swan's closed form; this route is the
-independent oracle the tests compare it against.  Over F_q, the radical
+independent oracle the tests compare it against.  Over F_q, arithmetic runs
+on plain coefficient lists (product, remainder with delayed reduction)
+and `ModPolynomial` wraps their already-reduced results.  The radical
 (product of the distinct monic irreducible factors) comes from the
-squarefree split alone; the Dedekind oracle needs nothing more.  The full
-factorization (squarefree split + distinct-degree split + Cantor-Zassenhaus
-equal-degree split with caller-supplied randomness) is used by tests.
-Irreducibility over Q is exact (modular factorization with Hensel lifting
-and recombination, via sympy); it is sympy's only use at runtime.
+squarefree split alone; the Dedekind oracle needs nothing more.  The
+distinct-degree split gives `degree_pattern`, which runs at runtime in the
+irreducibility proof below.  The full factorization (squarefree split +
+distinct-degree split + Cantor-Zassenhaus equal-degree split with
+caller-supplied randomness) is used by tests.  Irreducibility over Q is
+exact: a degree-set proof from the factor degrees mod the first few primes
+settles most inputs, and sympy (modular factorization with Hensel lifting
+and recombination) settles only what that proof cannot; this is sympy's
+only use at runtime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import sympy
+
+from . import arith
 
 __all__ = [
     "IntPolynomial",
@@ -36,6 +45,9 @@ __all__ = [
 ]
 
 DEGREE_BUDGET = 40
+# Primes, from 2 on and ramified ones included, that is_irreducible_over_Q
+# reads factor degrees at before it asks sympy.
+IRREDUCIBILITY_PRIMES = 10
 
 _x = sympy.Symbol("x")
 
@@ -52,11 +64,15 @@ class DegreeBudgetExceeded(Exception):
     """Degree above DEGREE_BUDGET, the bound for exact irreducibility testing."""
 
 
-def _strip(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
+def _trim(c):
+    """Drop the trailing zeros of the list c in place; return c."""
+    while c and not c[-1]:
         c.pop()
-    return tuple(c)
+    return c
+
+
+def _strip(coeffs):
+    return tuple(_trim(list(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -103,9 +119,52 @@ def trinomial(n: int, m: int, A: int, B: int) -> IntPolynomial:
     return IntPolynomial(c)
 
 
+def _reduce(c, q):
+    """The reduced coefficient list of the integers c over F_q."""
+    return _trim([x % q for x in c])
+
+
+def _product(a, b):
+    """Product of two coefficient lists over Z, not reduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _remainder(a, b, q, quo=None):
+    """Reduced remainder of a by b over F_q; the quotient goes into quo.
+
+    a may hold any integers; b is reduced and nonzero.  Each c*b is
+    subtracted without reducing: a coefficient is reduced when it is read
+    as the leading one, and the remainder once at the end.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    inv = pow(b[-1], -1, q)
+    low = b[:-1]
+    for i in range(len(rem) - 1 - db, -1, -1):
+        c = rem[i + db] * inv % q
+        if c:
+            for j, y in enumerate(low, i):
+                rem[j] -= c * y
+            if quo is not None:
+                quo[i] = c
+    del rem[db:]
+    return _reduce(rem, q)
+
+
 @dataclass(frozen=True)
 class ModPolynomial:
-    """Polynomial over F_q; all coefficients reduced into [0, q)."""
+    """Polynomial over F_q; all coefficients reduced into [0, q).
+
+    The arithmetic works on coefficient lists (the helpers above) and
+    wraps their already-reduced results without reducing them again.
+    """
 
     modulus: int
     coeffs: tuple
@@ -113,6 +172,14 @@ class ModPolynomial:
     def __init__(self, modulus, coeffs):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coeffs", _strip(c % modulus for c in coeffs))
+
+    @classmethod
+    def _wrap(cls, modulus, coeffs):
+        """A ModPolynomial of a reduced list, taken as it is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     @property
     def degree(self) -> int:
@@ -146,38 +213,22 @@ class ModPolynomial:
         return ModPolynomial(self.modulus, [x - y for x, y in zip(a, b)])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return ModPolynomial(self.modulus, [other * c for c in self.coeffs])
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return ModPolynomial(self.modulus, [])
         q = self.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % q
-        return ModPolynomial(q, out)
+        if isinstance(other, int):
+            prod = [other * c for c in self.coeffs]
+        else:
+            self._check(other)
+            prod = _product(self.coeffs, other.coeffs)
+        return ModPolynomial._wrap(q, _reduce(prod, q))
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = self.modulus
-        inv_lc = pow(other.lc, -1, q)
-        rem = list(self.coeffs)
-        db = other.degree
-        quo = [0] * max(len(rem) - db, 1)
-        for i in range(len(rem) - 1 - db, -1, -1):
-            c = rem[i + db] % q
-            if c == 0:
-                continue
-            c = c * inv_lc % q
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = (rem[i + j] - c * b) % q
-        return ModPolynomial(q, quo), ModPolynomial(q, rem[:db])
+        quo = [0] * max(len(self.coeffs) - other.degree, 1)
+        rem = _remainder(self.coeffs, other.coeffs, q, quo)
+        return ModPolynomial._wrap(q, _trim(quo)), ModPolynomial._wrap(q, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -187,29 +238,22 @@ class ModPolynomial:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree
-        if self.degree < db:
+        if self.degree < other.degree:
             return self
         q = self.modulus
-        inv_lc = pow(other.lc, -1, q)
-        low = other.coeffs[:-1]
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1 - db, -1, -1):
-            c = rem[i + db] * inv_lc % q
-            if c:
-                for j, b in enumerate(low, i):
-                    rem[j] = (rem[j] - c * b) % q
-        return ModPolynomial(q, rem[:db])
+        return ModPolynomial._wrap(q, _remainder(self.coeffs, other.coeffs, q))
 
     def monic(self) -> "ModPolynomial":
-        if self.is_zero():
+        q, c = self.modulus, self.coeffs
+        if not c or c[-1] == 1:
             return self
-        inv = pow(self.lc, -1, self.modulus)
-        return self * inv
+        inv = pow(c[-1], -1, q)
+        return ModPolynomial._wrap(q, [x * inv % q for x in c])
 
     def derivative(self) -> "ModPolynomial":
-        return ModPolynomial(
-            self.modulus, [i * c for i, c in enumerate(self.coeffs)][1:]
+        q = self.modulus
+        return ModPolynomial._wrap(
+            q, _reduce([i * c for i, c in enumerate(self.coeffs)][1:], q)
         )
 
     def __call__(self, v):
@@ -220,14 +264,16 @@ class ModPolynomial:
 
     def pow_mod(self, e: int, mod: "ModPolynomial") -> "ModPolynomial":
         """self^e reduced modulo `mod`."""
-        result = ModPolynomial(self.modulus, [1])
-        base = self % mod
+        q, m = self.modulus, mod.coeffs
+        result = [1]
+        base = (self % mod).coeffs
         while e > 0:
             if e & 1:
-                result = result * base % mod
-            base = base * base % mod
+                result = _remainder(_product(result, base), m, q)
             e >>= 1
-        return result
+            if e:
+                base = _remainder(_product(base, base), m, q)
+        return ModPolynomial._wrap(q, result)
 
 
 def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:
@@ -238,10 +284,10 @@ def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:
 def gcd_mod(f: ModPolynomial, g: ModPolynomial) -> ModPolynomial:
     """Monic gcd over F_q (Euclid)."""
     f._check(g)
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    q, a, b = f.modulus, f.coeffs, g.coeffs
+    while b:
+        a, b = b, _remainder(a, b, q)
+    return ModPolynomial._wrap(q, a).monic()
 
 
 def discriminant(f: IntPolynomial) -> int:
@@ -370,8 +416,10 @@ def degree_pattern(f: IntPolynomial, ell: int):
 
     Requires ell unramified (f squarefree mod ell, same thing for monic f);
     this is the Frobenius cycle type at ell.  A distinct-degree
-    factorization of f itself, it is the tests' oracle for the cycle types
-    that `galois_verify` reads off g mod ell for f = g(x^p).
+    factorization of f itself, it runs at runtime inside
+    `is_irreducible_over_Q`'s degree-set proof; it is also the tests'
+    oracle for the cycle types that `galois_verify` reads off g mod ell
+    for f = g(x^p).
     """
     fq = reduce_mod(f, ell)
     if fq.degree != f.degree:
@@ -387,14 +435,32 @@ def degree_pattern(f: IntPolynomial, ell: int):
 def is_irreducible_over_Q(f: IntPolynomial) -> bool:
     """Exact irreducibility over the rationals for monic f.
 
-    Backed by exact modular factorization + Hensel lifting + recombination;
-    degrees above DEGREE_BUDGET are refused rather than answered
-    heuristically.  Its one runtime caller is `cli.crosscheck_corpus`,
-    whose trinomials have degree at most 12; the index engines never call
-    it.
+    First a degree-set proof (Musser, J. ACM 25, 1978): a factor of f of
+    degree d over Z reduces to a product of factors mod every unramified
+    ell, so d is a sub-sum of each `degree_pattern`.  The first
+    IRREDUCIBILITY_PRIMES primes are tried, ramified ones skipped; once no
+    proper degree is a sub-sum of every pattern, f is irreducible.  What
+    the proof cannot settle, sympy decides (exact modular factorization +
+    Hensel lifting + recombination).  Degrees above DEGREE_BUDGET are
+    refused rather than answered heuristically.  Its one runtime caller
+    is `cli.crosscheck_corpus`, whose trinomials have degree at most 12;
+    the index engines never call it.
     """
     if not f.is_monic() or f.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     if f.degree > DEGREE_BUDGET:
         raise DegreeBudgetExceeded(f"degree {f.degree} > budget {DEGREE_BUDGET}")
-    return bool(f.to_sympy().is_irreducible)
+    # bit d set: a factor of degree d is still possible; 1..deg-1 are proper
+    possible = (1 << f.degree) - 2
+    for ell in islice(arith.primes(), IRREDUCIBILITY_PRIMES):
+        if not possible:
+            break
+        try:
+            pattern = degree_pattern(f, ell)
+        except RamifiedPrime:
+            continue
+        sums = 1  # bit s set: some sub-multiset of the pattern sums to s
+        for d in pattern:
+            sums |= sums << d
+        possible &= sums
+    return not possible or bool(f.to_sympy().is_irreducible)

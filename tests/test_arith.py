@@ -47,6 +47,54 @@ class TestIsPrime:
     def test_known_composites(self, n):
         assert not is_prime(n)
 
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_psi_k_is_composite(self, k):
+        # psi_k fools the first k witnesses, so is_prime must use k + 1
+        psi = arith._PSI[k - 1]
+        assert not any(
+            arith._miller_rabin_witness(psi, a)
+            for a in arith._SMALL_WITNESSES[:k]
+        )
+        assert not is_prime(psi)
+
+    def test_matches_sieve_to_two_million(self):
+        n_max = 2 * 10**6
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n_max - 1)
+        for p in range(2, math.isqrt(n_max) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, n_max + 1, p)))
+        assert bytearray(map(is_prime, range(n_max + 1))) == sieve
+
+    @given(
+        st.one_of(
+            st.integers(2, arith._DETERMINISTIC_BOUND - 1),
+            # products of two odd numbers, and psi_k +- small offsets,
+            # where the prefix length matters most
+            st.builds(
+                lambda x, y: x * y,
+                st.integers(43, 10**12).map(lambda v: v | 1),
+                st.integers(43, 10**12).map(lambda v: v | 1),
+            ),
+            st.builds(
+                lambda psi, d: psi + d,
+                st.sampled_from(arith._PSI),
+                st.integers(-64, 64),
+            ),
+        ).filter(lambda n: n < arith._DETERMINISTIC_BOUND)
+    )
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_the_full_witness_battery(self, n):
+        # below the bound the 13-witness battery is a proof; at psi_13
+        # itself it calls a composite prime
+        small = arith._SMALL_WITNESSES
+        if n in small:
+            expected = True
+        elif any(n % p == 0 for p in small):
+            expected = False
+        else:
+            expected = not any(arith._miller_rabin_witness(n, a) for a in small)
+        assert is_prime(n) == expected
+
 
 # The 30,000th prime is 350,377: the walk passes the default trial bound
 # and grows the table several times.

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from monotri import cli
+from monotri import cli, indexcheck
 from monotri.classify import TrinomialFamily, swan_disc_f
 from monotri.cli import (
     EXIT_INTERNAL,
@@ -241,6 +241,37 @@ class TestCrosscheck:
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["disagreements"] == r2["disagreements"] == 0
         assert cli.crosscheck_corpus(30, 1) != cli.crosscheck_corpus(30, 2)
+
+    @pytest.mark.parametrize("tiny_budget", [False, True])
+    def test_disagreement_exits_3(self, capsys, monkeypatch, tmp_path, tiny_budget):
+        # a disagreement outranks any skip
+        oracle = indexcheck.dedekind_divides_index
+        monkeypatch.setattr(
+            indexcheck, "dedekind_divides_index", lambda f, q: not oracle(f, q)
+        )
+        argv = ["crosscheck", "--size", "10", "--format", "jsonl"]
+        if tiny_budget:
+            cfg = tmp_path / "tiny.cfg"
+            cfg.write_text("trial_bound = 10\n")
+            argv += ["--config", str(cfg), "--budget", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        row = json.loads(out)
+        assert row["disagreements"] == row["total"] > 0
+        assert (row["skipped"] > 0) == tiny_budget
+        assert err.count("disagreement:") == row["disagreements"]
+
+    def test_skipped_trinomial_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("trial_bound = 10\n")
+        code, out, err = run(
+            capsys, "crosscheck", "--size", "10", "--config", str(cfg),
+            "--budget", "2", "--format", "jsonl",
+        )
+        assert code == EXIT_UNKNOWN
+        row = json.loads(out)
+        assert row["skipped"] > 0
+        assert row["disagreements"] == 0 and "disagreement:" not in err
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_empty_corpus_rejected(self, capsys, size):

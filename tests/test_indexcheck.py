@@ -52,7 +52,8 @@ def random_irreducible_corpus(size, seed, n_max=12, coeff_max=20):
         t = GeneralTrinomial(n, m, A, B)
         if swan_general_discriminant(t) == 0:
             continue
-        if not poly.is_irreducible_over_Q(t.polynomial()):
+        # sympy alone: the oracle for poly.is_irreducible_over_Q's proof
+        if not t.polynomial().to_sympy().is_irreducible:
             continue
         out.append(t)
     return out
@@ -297,7 +298,7 @@ def random_reducible_separable_corpus(size, seed):
             A = rng.choice([v for v in range(-60, 61) if v])
             B = rng.choice([-3, -2, -1, 1, 2, 3]) ** p
         t = GeneralTrinomial(n, m, A, B)
-        if t.disc != 0 and not poly.is_irreducible_over_Q(t.polynomial()):
+        if t.disc != 0 and not t.polynomial().to_sympy().is_irreducible:
             out.append(t)
     return out
 
@@ -336,7 +337,7 @@ class TestOracleEquivalence:
 
 
 class TestCrosscheckCorpus:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(10))
     def test_cli_corpus_matches_filtered_corpus(self, seed):
         # the CLI corpus has no zero-discriminant filter: irreducibility
         # over Q already excludes repeated roots

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
-from monotri import arith
+from monotri import arith, cli, poly
 from monotri.poly import (
     DegreeBudgetExceeded,
     IntPolynomial,
@@ -88,6 +91,41 @@ class TestRemainder:
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatch):
             ModPolynomial(5, [1, 1]) % ModPolynomial(7, [1, 1])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(q, a, b, m, e): a and b any polynomials over F_q, zero included;
+    m nonzero with any unit as leading coefficient, of any degree relative
+    to a; e an exponent."""
+    q = draw(st.sampled_from([2, 3, 7, 1000003]))
+    coeff = st.integers(0, q - 1)
+    a = ModPolynomial(q, draw(st.lists(coeff, max_size=16)))
+    b = ModPolynomial(q, draw(st.lists(coeff, max_size=12)))
+    m = ModPolynomial(
+        q, draw(st.lists(coeff, max_size=10)) + [draw(st.integers(1, q - 1))]
+    )
+    return q, a, b, m, draw(st.integers(0, 3 * q))
+
+
+def _gf(f):
+    """Coefficients in galoistools' order, leading coefficient first."""
+    return ZZ.map(list(reversed(f.coeffs)))
+
+
+class TestKernelAgainstGaloistools:
+    @given(_kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_galoistools(self, case):
+        q, a, b, m, e = case
+        assert _gf(a * b) == gt.gf_mul(_gf(a), _gf(b), q, ZZ)
+        quo, rem = divmod(a, m)
+        assert [_gf(quo), _gf(rem)] == list(gt.gf_div(_gf(a), _gf(m), q, ZZ))
+        assert _gf(a % m) == gt.gf_rem(_gf(a), _gf(m), q, ZZ)
+        assert _gf(gcd_mod(a, b)) == gt.gf_gcd(_gf(a), _gf(b), q, ZZ)
+        assert _gf(a.pow_mod(e, m)) == gt.gf_pow_mod(_gf(a), e, _gf(m), q, ZZ)
+        assert _gf(m.monic()) == gt.gf_monic(_gf(m), q, ZZ)[1]
+        assert _gf(a.derivative()) == gt.gf_diff(_gf(a), q, ZZ)
 
 
 class TestDiscriminant:
@@ -232,6 +270,63 @@ class TestDegreePattern:
         assert sum(degree_pattern(f, ell)) == 10
 
 
+def _count_sympy_calls(monkeypatch):
+    """A list that grows by one for each IntPolynomial.to_sympy call."""
+    calls = []
+    to_sympy = IntPolynomial.to_sympy
+
+    def counting(f):
+        calls.append(f)
+        return to_sympy(f)
+
+    monkeypatch.setattr(IntPolynomial, "to_sympy", counting)
+    return calls
+
+
+def _from_sympy(p):
+    return IntPolynomial([int(c) for c in reversed(p.all_coeffs())])
+
+
+_X = sympy.Symbol("x")
+_CYCLOTOMIC = [
+    _from_sympy(sympy.Poly(sympy.cyclotomic_poly(k, _X), _X))
+    for k in range(1, 31)
+    if sympy.totient(k) <= 7
+]
+# Irreducible, yet reducible modulo every prime: x^4 + 1 and the
+# Swinnerton-Dyer polynomials of sqrt2 + sqrt3 and sqrt2 + sqrt3 + sqrt5.
+_EVERYWHERE_SPLIT = [
+    IntPolynomial([1, 0, 0, 0, 1]),
+    IntPolynomial([1, 0, -10, 0, 1]),
+    IntPolynomial([576, 0, -960, 0, 352, 0, -40, 0, 1]),
+]
+
+
+@st.composite
+def _monic_polynomials(draw):
+    """Monic integer polynomials of degree 1-14: random ones, products,
+    products with a repeated factor, cyclotomic products and polynomials
+    reducible modulo every prime."""
+
+    def monic(lo, hi):
+        n = draw(st.integers(lo, hi))
+        low = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        return IntPolynomial(low + [1]).to_sympy()
+
+    kind = draw(st.sampled_from(["random", "product", "square", "special"]))
+    if kind == "random":
+        return _from_sympy(monic(1, 14))
+    if kind == "product":
+        return _from_sympy(monic(1, 7) * monic(1, 7))
+    if kind == "square":
+        return _from_sympy(monic(1, 5) ** 2 * monic(0, 4))
+    special = st.sampled_from(_EVERYWHERE_SPLIT + _CYCLOTOMIC)
+    f = draw(special).to_sympy()
+    for _ in range(draw(st.integers(0, 1))):
+        f *= draw(special).to_sympy()
+    return _from_sympy(f)
+
+
 class TestIrreducibility:
     def test_monogenic_family_member(self):
         assert is_irreducible_over_Q(trinomial(10, 5, 3, 1))
@@ -253,6 +348,39 @@ class TestIrreducibility:
             f = trinomial(2 * p, p, a, b**p)
             g = trinomial(2 * p, p, -a, b**p)  # f(-x) for even 2p, odd p
             assert is_irreducible_over_Q(f) == is_irreducible_over_Q(g)
+
+    def test_swinnerton_dyer_falls_through_to_sympy(self, monkeypatch):
+        # reducible into factors of degree <= 2 mod every prime, so no
+        # degree pattern rules out a quadratic factor
+        calls = _count_sympy_calls(monkeypatch)
+        assert is_irreducible_over_Q(IntPolynomial([1, 0, -10, 0, 1]))
+        assert len(calls) == 1
+
+    def test_degree_proof_needs_no_sympy(self, monkeypatch):
+        calls = _count_sympy_calls(monkeypatch)
+        assert is_irreducible_over_Q(trinomial(10, 5, 3, 1))
+        assert is_irreducible_over_Q(IntPolynomial([-2, 0, 0, 0, 0, 1]))
+        assert is_irreducible_over_Q(IntPolynomial([5, 1]))
+        assert calls == []
+
+    def test_proof_settles_most_of_the_crosscheck_corpus(self, monkeypatch):
+        tried = []
+        proof = poly.is_irreducible_over_Q
+
+        def counting(f):
+            tried.append(f)
+            return proof(f)
+
+        monkeypatch.setattr(poly, "is_irreducible_over_Q", counting)
+        calls = _count_sympy_calls(monkeypatch)
+        cli.crosscheck_corpus(100, 0)
+        # about 10% of the candidates reach sympy; 20% leaves room
+        assert len(tried) > 100 and len(calls) < 0.2 * len(tried)
+
+    @given(_monic_polynomials())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sympy(self, f):
+        assert is_irreducible_over_Q(f) == bool(f.to_sympy().is_irreducible)
 
     def test_degree_budget(self):
         c = [0] * 51
