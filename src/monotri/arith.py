@@ -266,10 +266,10 @@ def factorize(
     2 is always divided out.  Then n is divided by each odd prime p <=
     trial_bound, from the cached sieve table, until p*p exceeds what is
     left; a prime that divides has its whole power removed at once by
-    _divide_out.  A cofactor below the square of the next untried
-    candidate is prime.  Any other cofactor goes to is_prime and then to
-    Pollard-Brent rho with an iteration budget; budget exhaustion raises
-    rather than guessing.
+    _divide_out.  Every prime factor of what is left is >= d, the next
+    untried candidate, so it, and each factor rho splits off it, is prime
+    if it is below d*d or passes is_prime.  Pollard-Brent rho runs with an
+    iteration budget; budget exhaustion raises rather than guessing.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -295,23 +295,18 @@ def factorize(
         if n % p == 0:
             n, e = _divide_out(n // p, p)
             add(p, e + 1)
-    if n == 1:
-        return FactoredInteger(sign, factors)
-    if d * d > n or is_prime(n):
-        add(n)
-        return FactoredInteger(sign, factors)
-
-    rng = random.Random(n)
-    stack = [n]
+    rng = None  # seeded by n, made when rho first runs
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < d * d or is_prime(m):
             add(m)
             continue
         root = math.isqrt(m)
         if root * root == m:
             stack.extend([root, root])
             continue
+        rng = rng or random.Random(n)
         g = _pollard_brent(m, rho_budget, rng)
         stack.extend([g, m // g])
     return FactoredInteger(sign, factors)

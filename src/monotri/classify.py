@@ -134,7 +134,7 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
     return b ** (p * (p - 1)) * p ** (2 * p) * delta(fam) ** p
 
 
-def _dickson_trace(s: int, n: int, k: int) -> int:
+def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
     """gamma^k + conj(gamma)^k where gamma + conj = s, gamma*conj = n.
 
     This is the Lucas sequence V_k(s, n), the Dickson value D_k(s, n).
@@ -142,6 +142,8 @@ def _dickson_trace(s: int, n: int, k: int) -> int:
     top (Joye and Quisquater 1996), so it takes O(log k) multiplications:
 
         V_{2j} = V_j^2 - 2 n^j,    V_{2j+1} = V_j V_{j+1} - s n^j.
+
+    With m > 0 every step is reduced mod m, giving V_k mod m in [0, m).
     """
     v, w, nj = 2, s, 1  # V_j, V_{j+1}, n^j at j = 0
     for bit in bin(k)[2:]:
@@ -149,6 +151,8 @@ def _dickson_trace(s: int, n: int, k: int) -> int:
             v, w, nj = v * w - s * nj, w * w - 2 * n * nj, n * nj * nj
         else:
             v, w, nj = v * v - 2 * nj, v * w - s * nj, nj * nj
+        if m:
+            v, w, nj = v % m, w % m, nj % m
     return v
 
 

@@ -4,7 +4,8 @@ Subcommands: classify, enumerate, corollary-scan, crosscheck, galois-sample.
 Data rows go to stdout in a human table, JSON lines or CSV; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage error or
 reducible input, 2 an Unknown verdict was encountered, 3 an internal error
-(a one-line message on stderr, no traceback).
+(a one-line message on stderr, no traceback) or a contradiction found by
+corollary-scan or crosscheck.
 """
 
 from __future__ import annotations
@@ -275,12 +276,18 @@ def cmd_corollary_scan(args) -> int:
     if args.z_max < 1:
         raise UsageError(f"z_max must be at least 1, got {args.z_max}")
     writer = RowWriter(args.format, SCAN_FIELDS)
-    ok = True
+    code = EXIT_OK
     for row in corollary_scan_rows(args.z_max, cfg.factor_budget()):
         writer.write(row)
-        if row["p_is_prime"] and not row["consistent"]:
-            ok = False
-    return EXIT_OK if ok else EXIT_UNKNOWN
+        if not row["p_is_prime"] or row["consistent"]:
+            continue
+        if row["monogenic"] is None:
+            code = max(code, EXIT_UNKNOWN)
+        else:
+            # a definite verdict against the corollary is a bug; 3 beats 2
+            code = EXIT_INTERNAL
+            print(f"inconsistent: z={row['z']} p={row['p']}", file=sys.stderr)
+    return code
 
 
 def crosscheck_corpus(size: int, seed: int):

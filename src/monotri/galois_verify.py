@@ -8,7 +8,8 @@ factor of two.
 
 The degree pattern of f = g(x^p) mod ell is read off g = x^2 + a x + b^p
 mod ell and one p-th-power test of its root (Lidl-Niederreiter, Finite
-Fields, Thm 3.75), in O(log ell) field operations.  The tests hold it
+Fields, Thm 3.75), in O(log ell) field operations on the Lucas ladder that
+`classify` runs over Z for irreducibility.  The tests hold it
 equal to a distinct-degree factorization of f itself in `poly`.
 """
 
@@ -23,6 +24,7 @@ from .classify import (
     GaloisClass,
     GaloisKind,
     TrinomialFamily,
+    _dickson_trace,
     delta,
     family_is_irreducible,
 )
@@ -80,21 +82,6 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
     return OrderSpectrum(kind, p, frozenset(orders))
 
 
-def _quadratic_pow(a: int, c: int, e: int, ell: int):
-    """x^e in F_ell[x]/(x^2 + a x + c), as (u, v) meaning u + v x."""
-    ru, rv = 1, 0
-    bu, bv = 0, 1
-    while e:
-        if e & 1:
-            w = rv * bv
-            ru, rv = (ru * bu - c * w) % ell, (ru * bv + rv * bu - a * w) % ell
-        e >>= 1
-        if e:
-            w = bv * bv
-            bu, bv = (bu * bu - c * w) % ell, (2 * bu * bv - a * w) % ell
-    return ru, rv
-
-
 def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
     """Sorted factor degrees of x^{2p} + a x^p + c mod ell, for ell prime
     with ell not dividing p*c*d, where d = a^2 - 4c and c = b^p.
@@ -104,8 +91,10 @@ def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
     one root and orbits of length ord_p(Q) when p does not divide Q - 1;
     otherwise it splits completely if beta is a p-th power and is
     irreducible if not (Lidl-Niederreiter, Thm 3.75).  The roots of g have
-    product b^p, so both are p-th powers or neither is, and one power of x
-    modulo g decides it.
+    product b^p, so both are p-th powers or neither is, and one Lucas value
+    V_e(-a, b^p) mod ell, e = (Q - 1)/p, decides it: beta != beta' as ell
+    does not divide d, and (beta beta')^e = b^{Q-1} = 1, so V_e = 2
+    exactly when beta^e = beta'^e = 1, that is when beta is a p-th power.
     """
     a, c = a % ell, c % ell
     # for ell = 2, a and b are odd and g = x^2 + x + 1 is inert
@@ -114,7 +103,7 @@ def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
     if (q - 1) % p:
         k = min(e for e in _divisors(p - 1) if pow(q, e, p) == 1)
         per_root = [1] + [k] * ((p - 1) // k)
-    elif _quadratic_pow(a, c, (q - 1) // p, ell) == (1, 0):
+    elif _dickson_trace(-a, c, (q - 1) // p, ell) == 2 % ell:
         per_root = [1] * p
     else:
         per_root = [p]

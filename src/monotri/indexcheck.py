@@ -237,8 +237,10 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     irreducible factors, and h the lift of (f mod q)/g, the index is
     divisible by q iff gcd((g*h - f)/q, g, h) mod q has positive degree
     (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-    §6.1.2).  g and h are lifted with coefficients in [0, q); the verdict
-    does not depend on that choice.
+    §6.1.2).  Each irreducible factor of h mod q is a repeated factor of
+    f mod q, so it divides g mod q, and the gcd with h alone is taken.
+    g and h are lifted with coefficients in [0, q); the verdict does not
+    depend on that choice.
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
@@ -247,14 +249,12 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     fbar = reduce_mod(f, q)
     gbar = poly.radical_mod(fbar)
     hbar = fbar // gbar
-    diff = [-c for c in f.coeffs]  # g and h are monic, so deg gh = deg f
-    for i, gi in enumerate(gbar.coeffs):
-        for j, hj in enumerate(hbar.coeffs):
-            diff[i + j] += gi * hj
+    # g and h are monic, so deg gh = deg f
+    gh = poly._product(gbar.coeffs, hbar.coeffs)
+    diff = [x - y for x, y in zip(gh, f.coeffs)]
     assert all(c % q == 0 for c in diff)
     tbar = ModPolynomial(q, [c // q for c in diff])
-    d = gcd_mod(gcd_mod(tbar, gbar), hbar)
-    return d.degree > 0
+    return gcd_mod(tbar, hbar).degree > 0
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 
 import sympy
 
@@ -94,12 +94,6 @@ class IntPolynomial:
 
     def is_monic(self) -> bool:
         return self.lc == 1
-
-    def __call__(self, v):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -198,19 +192,13 @@ class ModPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a += (0,) * (n - len(a))
-        b += (0,) * (n - len(b))
-        return ModPolynomial(self.modulus, [x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return ModPolynomial(self.modulus, [x + y for x, y in pairs])
 
     def __sub__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a += (0,) * (n - len(a))
-        b += (0,) * (n - len(b))
-        return ModPolynomial(self.modulus, [x - y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return ModPolynomial(self.modulus, [x - y for x, y in pairs])
 
     def __mul__(self, other):
         q = self.modulus
@@ -311,12 +299,8 @@ def _squarefree_parts(f: ModPolynomial):
     f = f.monic()
     if f.degree <= 0:
         return
-    d = f.derivative()
-    if d.is_zero():
-        for mult, part in _squarefree_parts(_char_p_root(f)):
-            yield mult * q, part
-        return
-    c = gcd_mod(f, d)
+    # f' = 0 gives c = f and w = 1: only the leftover branch runs
+    c = gcd_mod(f, f.derivative())
     w = f // c
     i = 1
     while w.degree > 0:

@@ -193,8 +193,10 @@ _EXPONENTS = st.one_of(st.integers(1, 4), st.integers(100, 2500))
 def _trial_division_cases(draw):
     """(n, T): small prime powers, times optionally a prime in (T, T^2)
     that trial division leaves, times optionally a power of a prime
-    above T.  Primes below 47 that trial division reaches may take large
-    exponents; above T they would only feed rho a huge cofactor."""
+    above T, times optionally two primes just above T, which rho splits
+    off into factors below d^2 for d the first untried candidate.  Primes
+    below 47 that trial division reaches may take large exponents; above
+    T they would only feed rho a huge cofactor."""
     t = draw(st.sampled_from(TRIAL_BOUNDS))
     n = draw(st.sampled_from([1, -1]))
     for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 47, 997]))):
@@ -206,6 +208,9 @@ def _trial_division_cases(draw):
     if draw(st.booleans()):
         q = sympy.nextprime(draw(st.integers(floor, 10 * floor)))
         n *= q ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        for _ in range(2):
+            n *= sympy.nextprime(draw(st.integers(floor, 2 * floor)))
     return n, t
 
 

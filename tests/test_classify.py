@@ -89,6 +89,16 @@ class TestDicksonTrace:
     def test_large_k(self):
         assert _dickson_trace(3, 1, 1009) == linear_dickson(3, 1, 1009)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(0, 10**4),
+        st.integers(2, 10**4),
+    )
+    def test_reduced_ladder_is_the_integer_one_mod_m(self, s, n, k, m):
+        assert _dickson_trace(s, n, k, m) == _dickson_trace(s, n, k) % m
+
 
 class TestIrreducibility:
     def test_square_delta_reducible(self):

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 import sys
 
 import pytest
 
-from monotri import cli, indexcheck
+from monotri import classify as cls, cli, indexcheck
 from monotri.classify import TrinomialFamily, swan_disc_f
 from monotri.cli import (
     EXIT_INTERNAL,
@@ -214,6 +215,38 @@ class TestCorollaryScan:
                 assert r["consistent"] is True
                 assert r["unique_a"] is True
                 assert r["galois"] == f"C{r['p']}:C{r['p'] - 1}"
+
+    def test_contradiction_exits_3(self, capsys, monkeypatch):
+        # the last prime row (z = 5, p = 29) turns Unknown and the others
+        # contradict the corollary: each contradiction gets a line, and 3
+        # outranks a later 2
+        real = cls.classify
+
+        def flipped(fam, **budget):
+            c = real(fam, **budget)
+            monogenic = None if fam.p == 29 else not c.monogenic
+            return dataclasses.replace(c, monogenic=monogenic)
+
+        monkeypatch.setattr(cls, "classify", flipped)
+        code, out, err = run(capsys, "corollary-scan", "5", "--format", "jsonl")
+        assert code == EXIT_INTERNAL
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["consistent"] for r in rows if r["p_is_prime"]] == [False] * 3
+        assert err.splitlines() == ["inconsistent: z=1 p=5", "inconsistent: z=3 p=13"]
+
+    def test_unknown_row_exits_2(self, capsys, monkeypatch):
+        real = cls.classify
+        monkeypatch.setattr(
+            cls, "classify",
+            lambda fam, **budget: dataclasses.replace(
+                real(fam, **budget), monogenic=None
+            ),
+        )
+        code, out, err = run(capsys, "corollary-scan", "5", "--format", "jsonl")
+        assert code == EXIT_UNKNOWN
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert all(r["monogenic"] is None for r in rows if r["p_is_prime"])
+        assert "inconsistent" not in err
 
     @pytest.mark.parametrize("z_max", ["0", "-3"])
     def test_empty_z_range_rejected(self, capsys, z_max):
