@@ -240,21 +240,22 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     §6.1.2).  Each irreducible factor of h mod q is a repeated factor of
     f mod q, so it divides g mod q, and the gcd with h alone is taken.
     g and h are lifted with coefficients in [0, q); the verdict does not
-    depend on that choice.
+    depend on that choice.  All of it runs on reduced coefficient lists
+    over F_q (`poly._radical`, `poly._quotient`, `poly._gcd`).
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
     if not f.is_monic():
         raise ValueError("Dedekind criterion requires a monic polynomial")
-    fbar = reduce_mod(f, q)
-    gbar = poly.radical_mod(fbar)
-    hbar = fbar // gbar
+    fbar = poly._reduce(f.coeffs, q)
+    gbar = poly._radical(fbar, q)
+    hbar = poly._quotient(fbar, gbar, q)
     # g and h are monic, so deg gh = deg f
-    gh = poly._product(gbar.coeffs, hbar.coeffs)
+    gh = poly._product(gbar, hbar)
     diff = [x - y for x, y in zip(gh, f.coeffs)]
     assert all(c % q == 0 for c in diff)
-    tbar = ModPolynomial(q, [c // q for c in diff])
-    return gcd_mod(tbar, hbar).degree > 0
+    tbar = poly._reduce([c // q for c in diff], q)
+    return len(poly._gcd(tbar, hbar, q)) > 1
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,24 @@
 Integer polynomials are coefficient tuples, constant term first.  The
 discriminant is computed from the resultant (via sympy's exact subresultant
 machinery).  The package itself uses Swan's closed form; this route is the
-independent oracle the tests compare it against.  Over F_q, arithmetic runs
-on plain coefficient lists (product, remainder with delayed reduction)
-and `ModPolynomial` wraps their already-reduced results.  The radical
-(product of the distinct monic irreducible factors) comes from the
-squarefree split alone; the Dedekind oracle needs nothing more.  The
-distinct-degree split gives `degree_pattern`, which runs at runtime in the
-irreducibility proof below.  The full factorization (squarefree split +
-distinct-degree split + Cantor-Zassenhaus equal-degree split with
-caller-supplied randomness) is used by tests.  Irreducibility over Q is
-exact: a degree-set proof from the factor degrees mod the first few primes
-settles most inputs, and sympy (modular factorization with Hensel lifting
-and recombination) settles only what that proof cannot; this is sympy's
-only use at runtime.
+independent oracle the tests compare it against.
+
+Over F_q every routine has one implementation, on plain reduced
+coefficient lists: product, remainder with delayed reduction, quotient,
+Euclid's gcd, powering, the squarefree split, the radical (product of the
+distinct monic irreducible factors, from the squarefree split alone; the
+Dedekind oracle needs nothing more) and the distinct-degree split behind
+`degree_pattern`.  `ModPolynomial` is the public type; it wraps their
+already-reduced results at the boundary.  The full factorization (those
+splits + Cantor-Zassenhaus equal-degree split with caller-supplied
+randomness) is used by tests.
+
+Irreducibility over Q is exact, with a certificate each way before
+sympy: a degree-set proof from the factor degrees mod the first few
+primes shows irreducibility, and an integer root, lifted from a root mod
+the first unramified prime, shows reducibility.  sympy (modular
+factorization with Hensel lifting and recombination) settles only what
+neither can; this is sympy's only use at runtime.
 """
 
 from __future__ import annotations
@@ -152,6 +157,57 @@ def _remainder(a, b, q, quo=None):
     return _reduce(rem, q)
 
 
+def _value(c, v):
+    """The coefficient list c evaluated at the integer v (Horner)."""
+    acc = 0
+    for x in reversed(c):
+        acc = acc * v + x
+    return acc
+
+
+def _quotient(a, b, q):
+    """Quotient of a by b over F_q, as `_remainder` takes them."""
+    quo = [0] * max(len(a) - len(b) + 1, 1)
+    _remainder(a, b, q, quo)
+    return _trim(quo)
+
+
+def _monic(c, q):
+    """The monic multiple of the reduced list c; the zero list stays."""
+    if not c or c[-1] == 1:
+        return c
+    inv = pow(c[-1], -1, q)
+    return [x * inv % q for x in c]
+
+
+def _derivative(c, q):
+    """The derivative of the reduced list c over F_q."""
+    return _reduce([i * x for i, x in enumerate(c)][1:], q)
+
+
+def _gcd(a, b, q):
+    """Monic gcd of two reduced lists over F_q (Euclid)."""
+    while b:
+        a, b = b, _remainder(a, b, q)
+    return _monic(a, q)
+
+
+def _pow_mod(a, e, m, q):
+    """a^e modulo the nonzero m over F_q, for a reduced a of lower degree.
+
+    Left-to-right binary powering: one squaring per bit of e after the
+    leading one, and one product by a per further set bit.
+    """
+    if not e:
+        return [1]
+    result = a
+    for bit in bin(e)[3:]:
+        result = _remainder(_product(result, result), m, q)
+        if bit == "1":
+            result = _remainder(_product(result, a), m, q)
+    return result
+
+
 @dataclass(frozen=True)
 class ModPolynomial:
     """Polynomial over F_q; all coefficients reduced into [0, q).
@@ -210,19 +266,17 @@ class ModPolynomial:
         return ModPolynomial._wrap(q, _reduce(prod, q))
 
     def __divmod__(self, other):
+        return self // other, self % other
+
+    def __floordiv__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = self.modulus
-        quo = [0] * max(len(self.coeffs) - other.degree, 1)
-        rem = _remainder(self.coeffs, other.coeffs, q, quo)
-        return ModPolynomial._wrap(q, _trim(quo)), ModPolynomial._wrap(q, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return ModPolynomial._wrap(q, _quotient(self.coeffs, other.coeffs, q))
 
     def __mod__(self, other):
-        """The remainder of divmod(self, other), without the quotient."""
+        """The remainder of self by other, without the quotient."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -232,36 +286,20 @@ class ModPolynomial:
         return ModPolynomial._wrap(q, _remainder(self.coeffs, other.coeffs, q))
 
     def monic(self) -> "ModPolynomial":
-        q, c = self.modulus, self.coeffs
-        if not c or c[-1] == 1:
-            return self
-        inv = pow(c[-1], -1, q)
-        return ModPolynomial._wrap(q, [x * inv % q for x in c])
+        q = self.modulus
+        return ModPolynomial._wrap(q, _monic(self.coeffs, q))
 
     def derivative(self) -> "ModPolynomial":
         q = self.modulus
-        return ModPolynomial._wrap(
-            q, _reduce([i * c for i, c in enumerate(self.coeffs)][1:], q)
-        )
+        return ModPolynomial._wrap(q, _derivative(self.coeffs, q))
 
     def __call__(self, v):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * v + c) % self.modulus
-        return acc
+        return _value(self.coeffs, v) % self.modulus
 
     def pow_mod(self, e: int, mod: "ModPolynomial") -> "ModPolynomial":
         """self^e reduced modulo `mod`."""
-        q, m = self.modulus, mod.coeffs
-        result = [1]
-        base = (self % mod).coeffs
-        while e > 0:
-            if e & 1:
-                result = _remainder(_product(result, base), m, q)
-            e >>= 1
-            if e:
-                base = _remainder(_product(base, base), m, q)
-        return ModPolynomial._wrap(q, result)
+        q, base = self.modulus, (self % mod).coeffs
+        return ModPolynomial._wrap(q, _pow_mod(base, e, mod.coeffs, q))
 
 
 def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:
@@ -272,10 +310,8 @@ def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:
 def gcd_mod(f: ModPolynomial, g: ModPolynomial) -> ModPolynomial:
     """Monic gcd over F_q (Euclid)."""
     f._check(g)
-    q, a, b = f.modulus, f.coeffs, g.coeffs
-    while b:
-        a, b = b, _remainder(a, b, q)
-    return ModPolynomial._wrap(q, a).monic()
+    q = f.modulus
+    return ModPolynomial._wrap(q, _gcd(f.coeffs, g.coeffs, q))
 
 
 def discriminant(f: IntPolynomial) -> int:
@@ -288,33 +324,40 @@ def discriminant(f: IntPolynomial) -> int:
     return int(sign * res // f.lc)
 
 
-def _char_p_root(f: ModPolynomial) -> ModPolynomial:
-    """q-th root of a polynomial in x^q over the prime field F_q."""
-    return ModPolynomial(f.modulus, f.coeffs[:: f.modulus])
-
-
-def _squarefree_parts(f: ModPolynomial):
-    """Yield (multiplicity, squarefree factor) pairs with product f (monic)."""
-    q = f.modulus
-    f = f.monic()
-    if f.degree <= 0:
+def _squarefree_parts(f, q):
+    """Yield (multiplicity, squarefree factor) pairs, reduced lists over
+    F_q, whose product is the monic multiple of the reduced list f."""
+    if len(f) <= 1:
         return
+    f = _monic(f, q)
     # f' = 0 gives c = f and w = 1: only the leftover branch runs
-    c = gcd_mod(f, f.derivative())
-    w = f // c
+    c = _gcd(f, _derivative(f, q), q)
+    w = _quotient(f, c, q)
     i = 1
-    while w.degree > 0:
-        y = gcd_mod(w, c)
-        part = w // y
-        if part.degree > 0:
+    while len(w) > 1 and len(c) > 1:
+        y = _gcd(w, c, q)
+        part = _quotient(w, y, q)
+        if len(part) > 1:
             yield i, part
         w = y
-        c = c // y
+        c = _quotient(c, y, q)
         i += 1
-    if c.degree > 0:
-        # leftover factors all have multiplicity divisible by q
-        for mult, part in _squarefree_parts(_char_p_root(c)):
+    if len(w) > 1:
+        # c = 1, so every factor left in w has multiplicity i
+        yield i, w
+    if len(c) > 1:
+        # leftover factors all have multiplicity divisible by q; c is a
+        # polynomial in x^q, and c[::q] is its q-th root
+        for mult, part in _squarefree_parts(c[::q], q):
             yield mult * q, part
+
+
+def _radical(f, q):
+    """The radical of the nonzero reduced list f over F_q; see radical_mod."""
+    rad = [1]
+    for _, part in _squarefree_parts(f, q):
+        rad = _reduce(_product(rad, part), q)
+    return rad
 
 
 def radical_mod(f: ModPolynomial) -> ModPolynomial:
@@ -322,33 +365,32 @@ def radical_mod(f: ModPolynomial) -> ModPolynomial:
 
     The squarefree parts are pairwise coprime and each is the product of
     the irreducibles of one multiplicity, so their product is rad(f); no
-    factor is split further.
+    factor is split further.  The work runs on coefficient lists
+    (`_radical`); only the result is wrapped.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no radical")
-    rad = ModPolynomial(f.modulus, [1])
-    for _, part in _squarefree_parts(f):
-        rad = rad * part
-    return rad
+    return ModPolynomial._wrap(f.modulus, _radical(f.coeffs, f.modulus))
 
 
-def _distinct_degree(f: ModPolynomial):
-    """Split a squarefree monic f into (degree d, product of deg-d factors)."""
-    q = f.modulus
-    x = ModPolynomial(q, [0, 1])
-    h = x
+def _distinct_degree(f, q):
+    """Split a squarefree monic reduced list f into (degree d, product of
+    the degree-d factors) pairs."""
+    h = [0, 1]  # x^(q^d) mod f
     d = 0
     out = []
-    while f.degree >= 2 * (d + 1):
+    while len(f) > 2 * (d + 1):
         d += 1
-        h = h.pow_mod(q, f)
-        g = gcd_mod(f, h - x)
-        if g.degree > 0:
+        h = _pow_mod(h, q, f, q)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        g = _gcd(f, _reduce(h_minus_x, q), q)
+        if len(g) > 1:
             out.append((d, g))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f.degree, f))
+            f = _quotient(f, g, q)
+            h = _remainder(h, f, q)
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
     return out
 
 
@@ -385,11 +427,12 @@ def factor_mod(f: ModPolynomial, seed: int = 0):
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    q = f.modulus
     rng = random.Random(seed)
     out = []
-    for mult, part in _squarefree_parts(f):
-        for d, prod in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
+    for mult, part in _squarefree_parts(f.coeffs, q):
+        for d, prod in _distinct_degree(part, q):
+            for irr in _equal_degree(ModPolynomial._wrap(q, prod), d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
@@ -399,36 +442,69 @@ def degree_pattern(f: IntPolynomial, ell: int):
     """Multiset (sorted list) of irreducible factor degrees of f mod ell.
 
     Requires ell unramified (f squarefree mod ell, same thing for monic f);
-    this is the Frobenius cycle type at ell.  A distinct-degree
-    factorization of f itself, it runs at runtime inside
-    `is_irreducible_over_Q`'s degree-set proof; it is also the tests'
-    oracle for the cycle types that `galois_verify` reads off g mod ell
-    for f = g(x^p).
+    this is the Frobenius cycle type at ell.  The ramification test (the
+    gcd of f and f' mod ell) and the distinct-degree factorization of f
+    itself both run on reduced coefficient lists.  It runs at runtime
+    inside `is_irreducible_over_Q`'s degree-set proof; it is also the
+    tests' oracle for the cycle types that `galois_verify` reads off
+    g mod ell for f = g(x^p).
     """
-    fq = reduce_mod(f, ell)
-    if fq.degree != f.degree:
+    fq = _reduce(f.coeffs, ell)
+    if len(fq) != len(f.coeffs):
         raise RamifiedPrime(f"leading coefficient vanishes mod {ell}")
-    if gcd_mod(fq, fq.derivative()).degree != 0:
+    if len(_gcd(fq, _derivative(fq, ell), ell)) != 1:
         raise RamifiedPrime(f"{ell} divides the discriminant")
     pattern = []
-    for d, prod in _distinct_degree(fq.monic()):
-        pattern.extend([d] * (prod.degree // d))
+    for d, prod in _distinct_degree(_monic(fq, ell), ell):
+        pattern.extend([d] * ((len(prod) - 1) // d))
     return sorted(pattern)
+
+
+def _has_integer_root(f: IntPolynomial, ell: int) -> bool:
+    """Whether the monic f, squarefree mod the prime ell, has a root in Z.
+
+    An integer root r is a simple root mod ell, and Newton's iteration
+    lifts each simple root mod ell uniquely to one mod ell^(2^k) (Loos,
+    SIAM J. Comput. 12, 1983).  Cauchy's bound gives |r| < H = 1 +
+    max|c_i|, so once the modulus M exceeds 2H, r is the lift's
+    representative in (-M/2, M/2], and one exact evaluation settles each
+    root mod ell.  The cost grows with log H, not with the divisors of
+    f(0).
+    """
+    c, dc = f.coeffs, f.derivative().coeffs
+    bound = 2 * (1 + max(map(abs, c)))
+    for r in range(ell):
+        if _value(c, r) % ell:
+            continue
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _value(c, r) * pow(_value(dc, r), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if _value(c, r) == 0:
+            return True
+    return False
 
 
 def is_irreducible_over_Q(f: IntPolynomial) -> bool:
     """Exact irreducibility over the rationals for monic f.
 
-    First a degree-set proof (Musser, J. ACM 25, 1978): a factor of f of
-    degree d over Z reduces to a product of factors mod every unramified
-    ell, so d is a sub-sum of each `degree_pattern`.  The first
+    A certificate each way, then sympy.  Irreducibility comes from a
+    degree-set proof (Musser, J. ACM 25, 1978): a factor of f of degree d
+    over Z reduces to a product of factors mod every unramified ell, so d
+    is a sub-sum of each `degree_pattern`.  The first
     IRREDUCIBILITY_PRIMES primes are tried, ramified ones skipped; once no
-    proper degree is a sub-sum of every pattern, f is irreducible.  What
-    the proof cannot settle, sympy decides (exact modular factorization +
-    Hensel lifting + recombination).  Degrees above DEGREE_BUDGET are
-    refused rather than answered heuristically.  Its one runtime caller
-    is `cli.crosscheck_corpus`, whose trinomials have degree at most 12;
-    the index engines never call it.
+    proper degree is a sub-sum of every pattern, f is irreducible.
+    Reducibility comes from an integer root: at the first unramified ell
+    whose pattern has a 1, each root mod ell is lifted and tested
+    (`_has_integer_root`).  A root makes f reducible at once; without one
+    f has no factor of degree 1, nor of degree deg f - 1, and the
+    degree-set proof goes on.  What neither settles, sympy decides (exact
+    modular factorization + Hensel lifting + recombination).  Degrees
+    above DEGREE_BUDGET are refused rather than answered heuristically.
+    Its one runtime caller is `cli.crosscheck_corpus`, whose trinomials
+    have degree at most 12; the index engines never call it.
     """
     if not f.is_monic() or f.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
@@ -443,6 +519,12 @@ def is_irreducible_over_Q(f: IntPolynomial) -> bool:
             pattern = degree_pattern(f, ell)
         except RamifiedPrime:
             continue
+        # bit 1 lasts only to the first unramified ell: there a pattern
+        # without a 1 clears it, and so does a certificate without a root
+        if possible & 2 and 1 in pattern:
+            if _has_integer_root(f, ell):
+                return False
+            possible &= ~(2 | 1 << (f.degree - 1))
         sums = 1  # bit s set: some sub-multiset of the pattern sums to s
         for d in pattern:
             sums |= sums << d

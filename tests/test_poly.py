@@ -126,6 +126,22 @@ class TestKernelAgainstGaloistools:
         assert _gf(a.pow_mod(e, m)) == gt.gf_pow_mod(_gf(a), e, _gf(m), q, ZZ)
         assert _gf(m.monic()) == gt.gf_monic(_gf(m), q, ZZ)[1]
         assert _gf(a.derivative()) == gt.gf_diff(_gf(a), q, ZZ)
+        for f in (a, m):
+            if f.is_zero():
+                continue
+            # the radical is the product of the squarefree parts
+            rad = [ZZ(1)]
+            for part, _ in gt.gf_sqf_list(_gf(f), q, ZZ)[1]:
+                rad = gt.gf_mul(rad, part, q, ZZ)
+            assert _gf(radical_mod(f)) == rad
+            f_int = IntPolynomial(f.coeffs)
+            if gt.gf_sqf_p(_gf(f), q, ZZ):
+                factors = gt.gf_factor_sqf(_gf(f), q, ZZ)[1]
+                degrees = sorted(gt.gf_degree(g) for g in factors)
+                assert degree_pattern(f_int, q) == degrees
+            else:
+                with pytest.raises(RamifiedPrime):
+                    degree_pattern(f_int, q)
 
 
 class TestDiscriminant:
@@ -260,6 +276,9 @@ class TestDegreePattern:
     def test_ramified_prime_rejected(self):
         with pytest.raises(RamifiedPrime):
             degree_pattern(trinomial(6, 3, 1, 1), 3)
+        # 3x^2 + x + 1 loses its leading coefficient mod 3
+        with pytest.raises(RamifiedPrime):
+            degree_pattern(IntPolynomial([1, 1, 3]), 3)
 
     @given(st.sampled_from([7, 11, 13, 17, 19, 23]))
     @settings(max_examples=20, deadline=None)
@@ -305,15 +324,25 @@ _EVERYWHERE_SPLIT = [
 @st.composite
 def _monic_polynomials(draw):
     """Monic integer polynomials of degree 1-14: random ones, products,
-    products with a repeated factor, cyclotomic products and polynomials
-    reducible modulo every prime."""
+    products with a repeated factor, products with a linear factor,
+    cyclotomic products and polynomials reducible modulo every prime."""
 
-    def monic(lo, hi):
+    def monic(lo, hi, size=20):
         n = draw(st.integers(lo, hi))
-        low = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        low = draw(st.lists(st.integers(-size, size), min_size=n, max_size=n))
         return IntPolynomial(low + [1]).to_sympy()
 
-    kind = draw(st.sampled_from(["random", "product", "square", "special"]))
+    kinds = ["random", "product", "square", "linear factor", "special"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "linear factor":
+        # (x - r) g or (x - r)^2 g, with the root r at 0, at 1 or -1, or
+        # at +-H, H = 1 + max|g_i| the Cauchy bound of g; |f(0)| reaches
+        # about 10^60
+        g = monic(0, 6, 10**20)
+        bound = 1 + max(abs(int(c)) for c in g.all_coeffs())
+        r = draw(st.sampled_from([0, 1, -1, bound, -bound]))
+        linear = sympy.Poly(_X - r, _X)
+        return _from_sympy(linear ** draw(st.integers(1, 2)) * g)
     if kind == "random":
         return _from_sympy(monic(1, 14))
     if kind == "product":
@@ -356,6 +385,13 @@ class TestIrreducibility:
         assert is_irreducible_over_Q(IntPolynomial([1, 0, -10, 0, 1]))
         assert len(calls) == 1
 
+    def test_integer_root_needs_no_sympy(self, monkeypatch):
+        # x^5 - 3x^2 + 2 has the root 1, a simple root mod 3, the first
+        # unramified prime; the lift settles it
+        calls = _count_sympy_calls(monkeypatch)
+        assert not is_irreducible_over_Q(trinomial(5, 2, -3, 2))
+        assert calls == []
+
     def test_degree_proof_needs_no_sympy(self, monkeypatch):
         calls = _count_sympy_calls(monkeypatch)
         assert is_irreducible_over_Q(trinomial(10, 5, 3, 1))
@@ -374,8 +410,8 @@ class TestIrreducibility:
         monkeypatch.setattr(poly, "is_irreducible_over_Q", counting)
         calls = _count_sympy_calls(monkeypatch)
         cli.crosscheck_corpus(100, 0)
-        # about 10% of the candidates reach sympy; 20% leaves room
-        assert len(tried) > 100 and len(calls) < 0.2 * len(tried)
+        # 6 of the 106 candidates reach sympy; 10% leaves room
+        assert len(tried) > 100 and len(calls) < 0.1 * len(tried)
 
     @given(_monic_polynomials())
     @settings(max_examples=400, deadline=None)
