@@ -6,11 +6,14 @@ splitting happens with density 1/|G|.  Sampling a few thousand unramified
 primes is enough to separate the candidate groups, whose orders differ by a
 factor of two.
 
-The degree pattern of f = g(x^p) mod ell is read off g = x^2 + a x + b^p
-mod ell and one p-th-power test of its root (Lidl-Niederreiter, Finite
-Fields, Thm 3.75), in O(log ell) field operations on the Lucas ladder that
-`classify` runs over Z for irreducibility.  The tests hold it
-equal to a distinct-degree factorization of f itself in `poly`.
+The Frobenius order of f = g(x^p) at ell is read off g = x^2 + a x + b^p
+mod ell (Lidl-Niederreiter, Finite Fields, Thm 3.75); no degree pattern is
+built.  The divisors of p - 1 and a table of ord_p(r) are computed once per
+family; each prime then costs one Euler-criterion split test and, when p
+divides Q - 1, one p-th-power test of the root of g in O(log ell) field
+operations on the Lucas ladder that `classify` runs over Z for
+irreducibility.  The tests hold the orders equal to the lcm of a
+distinct-degree factorization of f itself in `poly`.
 """
 
 from __future__ import annotations
@@ -82,45 +85,25 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
     return OrderSpectrum(kind, p, frozenset(orders))
 
 
-def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
-    """Sorted factor degrees of x^{2p} + a x^p + c mod ell, for ell prime
-    with ell not dividing p*c*d, where d = a^2 - 4c and c = b^p.
-
-    g = x^2 + a x + c either splits mod ell (Q = ell) or is inert (Q = ell^2,
-    every degree doubles).  Over F_Q, x^p - beta for a root beta of g has
-    one root and orbits of length ord_p(Q) when p does not divide Q - 1;
-    otherwise it splits completely if beta is a p-th power and is
-    irreducible if not (Lidl-Niederreiter, Thm 3.75).  The roots of g have
-    product b^p, so both are p-th powers or neither is, and one Lucas value
-    V_e(-a, b^p) mod ell, e = (Q - 1)/p, decides it: beta != beta' as ell
-    does not divide d, and (beta beta')^e = b^{Q-1} = 1, so V_e = 2
-    exactly when beta^e = beta'^e = 1, that is when beta is a p-th power.
-    """
-    a, c = a % ell, c % ell
-    # for ell = 2, a and b are odd and g = x^2 + x + 1 is inert
-    split = ell > 2 and pow(d, (ell - 1) // 2, ell) == 1
-    q = ell if split else ell * ell
-    if (q - 1) % p:
-        k = min(e for e in _divisors(p - 1) if pow(q, e, p) == 1)
-        per_root = [1] + [k] * ((p - 1) // k)
-    elif _dickson_trace(-a, c, (q - 1) // p, ell) == 2 % ell:
-        per_root = [1] * p
-    else:
-        per_root = [p]
-    if split:
-        return sorted(per_root * 2)
-    return [2 * e for e in per_root]
-
-
 def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
-    """Record Frobenius orders (lcm of the factor-degree pattern mod ell)
-    over the first `prime_budget` unramified primes.
+    """Record Frobenius orders over the first `prime_budget` unramified primes.
 
     Ramified primes (those dividing p * b * delta) are skipped and not
     counted.  The prime walk is the deterministic increasing one.  Each
-    pattern comes from g = x^2 + a x + b^p mod ell and one p-th-power test
-    of its root (Lidl-Niederreiter, Finite Fields, Thm 3.75), not from
-    factoring f.
+    order is read off g = x^2 + a x + b^p mod ell (Lidl-Niederreiter,
+    Finite Fields, Thm 3.75) without building the degree pattern of f:
+
+    g splits (Q = ell) or is inert (Q = ell^2, every degree doubles).  Over
+    F_Q, x^p - beta for a root beta of g has one root and orbits of length
+    ord_p(Q) when p does not divide Q - 1, so the order is ord_p(Q), read
+    from a per-family table of ord_p(r) keyed by r = Q mod p and filled from
+    the divisors of p - 1 as residues occur.  Otherwise x^p - beta splits
+    completely if beta is a p-th power and is irreducible if not: order 1
+    or p.  The roots of g have product b^p, so both are p-th powers or
+    neither is, and one Lucas value V_e(-a, b^p) mod ell, e = (Q - 1)/p,
+    decides it: beta != beta' as ell does not divide delta, and
+    (beta beta')^e = b^{Q-1} = 1, so V_e = 2 exactly when beta^e = beta'^e
+    = 1.  A prime splits completely when g splits and the order is 1.
     """
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
@@ -128,17 +111,32 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
         raise Reducible(f"family {fam} is reducible over Q")
     p, a, c, d = fam.p, fam.a, fam.b**fam.p, delta(fam)
     ramified = p * fam.b * d
+    divisors = sorted(_divisors(p - 1))
+    order_of: dict[int, int] = {}  # r = Q mod p, r != 1 -> ord_p(r)
     observed: dict[int, int] = {}
     splits = 0
     used = 0
     for ell in arith.primes():
         if ramified % ell == 0:
             continue
-        pattern = _frobenius_pattern(p, a, c, d, ell)
-        order = math.lcm(*pattern)
-        observed[order] = observed.get(order, 0) + 1
-        if all(e == 1 for e in pattern):
+        # for ell = 2, a and b are odd and g = x^2 + x + 1 is inert
+        split = ell > 2 and pow(d, (ell - 1) // 2, ell) == 1
+        q = ell if split else ell * ell
+        r = q % p
+        if r != 1:
+            order = order_of.get(r)
+            if order is None:
+                order = order_of[r] = next(
+                    e for e in divisors if pow(r, e, p) == 1)
+        elif _dickson_trace(-a % ell, c % ell, (q - 1) // p, ell) == 2 % ell:
+            order = 1
+        else:
+            order = p
+        if not split:
+            order *= 2
+        elif order == 1:
             splits += 1
+        observed[order] = observed.get(order, 0) + 1
         used += 1
         if used >= prime_budget:
             break

@@ -136,11 +136,13 @@ def _product(a, b):
 
 
 def _remainder(a, b, q, quo=None):
-    """Reduced remainder of a by b over F_q; the quotient goes into quo.
+    """Reduced remainder of a by b over F_q.
 
-    a may hold any integers; b is reduced and nonzero.  Each c*b is
-    subtracted without reducing: a coefficient is reduced when it is read
-    as the leading one, and the remainder once at the end.
+    Given a list quo, the quotient goes into it instead and no remainder is
+    formed: the result is None.  a may hold any integers; b is reduced and
+    nonzero.  Each c*b is subtracted without reducing: a coefficient is
+    reduced when it is read as the leading one, and the remainder once at
+    the end.
     """
     db = len(b) - 1
     rem = list(a)
@@ -153,6 +155,8 @@ def _remainder(a, b, q, quo=None):
                 rem[j] -= c * y
             if quo is not None:
                 quo[i] = c
+    if quo is not None:
+        return None
     del rem[db:]
     return _reduce(rem, q)
 

@@ -10,14 +10,16 @@ from monotri.classify import (
     GaloisClass,
     GaloisKind,
     TrinomialFamily,
+    _dickson_trace,
     delta,
+    family_is_irreducible,
     family_polynomial,
     galois_group,
 )
 from monotri.galois_verify import (
     MIN_PRIMES_FOR_VERDICT,
     SampleReport,
-    _frobenius_pattern,
+    _divisors,
     consistency_check,
     element_order_spectrum,
     frobenius_sample,
@@ -48,6 +50,56 @@ class TestElementOrderSpectrum:
                 g = GaloisClass.for_kind(kind, p)
                 s = element_order_spectrum(kind, p)
                 assert all(g.order % o == 0 for o in s.orders)
+
+
+def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
+    """Sorted factor degrees of x^{2p} + a x^p + c mod ell, for ell prime
+    with ell not dividing p*c*d, where d = a^2 - 4c and c = b^p.
+
+    The Lidl-Niederreiter reading (Finite Fields, Thm 3.75) that
+    `frobenius_sample` takes its orders from, spelled out as the whole
+    pattern: it bridges the sampler to `poly.degree_pattern`.  g = x^2 +
+    a x + c either splits mod ell (Q = ell) or is inert (Q = ell^2, every
+    degree doubles).  Over F_Q, x^p - beta for a root beta of g has one
+    root and orbits of length ord_p(Q) when p does not divide Q - 1;
+    otherwise it splits completely if beta is a p-th power and is
+    irreducible if not, which V_e(-a, b^p) = 2 mod ell, e = (Q - 1)/p,
+    decides.
+    """
+    a, c = a % ell, c % ell
+    # for ell = 2, a and b are odd and g = x^2 + x + 1 is inert
+    split = ell > 2 and pow(d, (ell - 1) // 2, ell) == 1
+    q = ell if split else ell * ell
+    if (q - 1) % p:
+        k = min(e for e in _divisors(p - 1) if pow(q, e, p) == 1)
+        per_root = [1] + [k] * ((p - 1) // k)
+    elif _dickson_trace(-a, c, (q - 1) // p, ell) == 2 % ell:
+        per_root = [1] * p
+    else:
+        per_root = [p]
+    if split:
+        return sorted(per_root * 2)
+    return [2 * e for e in per_root]
+
+
+def degree_pattern_sample(fam, prime_budget):
+    """`frobenius_sample` by factoring f mod each unramified ell: each
+    order is the lcm of the degree pattern, each split an all-ones one."""
+    f = family_polynomial(fam)
+    ramified = fam.p * fam.b * delta(fam)
+    observed = {}
+    splits = used = 0
+    for ell in arith.primes():
+        if ramified % ell == 0:
+            continue
+        pattern = poly.degree_pattern(f, ell)
+        order = math.lcm(*pattern)
+        observed[order] = observed.get(order, 0) + 1
+        splits += all(e == 1 for e in pattern)
+        used += 1
+        if used == prime_budget:
+            break
+    return SampleReport(fam, used, observed, Fraction(splits, used))
 
 
 def fast_and_oracle(fam, ell):
@@ -102,6 +154,52 @@ class TestFrobeniusPattern:
 
 
 class TestFrobeniusSample:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+        st.integers(-200, 200).filter(bool),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+    def test_matches_degree_pattern_sampler(self, p, a, b):
+        fam = TrinomialFamily(p, a, b)
+        assume(family_is_irreducible(fam))
+        assert frobenius_sample(fam, 60) == degree_pattern_sample(fam, 60)
+
+    @pytest.mark.parametrize(
+        "family, budget, orders, split_fraction",
+        [
+            (
+                (61, 3, 1),
+                2000,
+                {2: 31, 3: 36, 4: 69, 5: 59, 6: 97, 10: 201, 12: 135,
+                 15: 136, 20: 274, 30: 390, 60: 538, 61: 17, 122: 17},
+                Fraction(0),
+            ),
+            (
+                (1009, 3, 1),
+                2000,
+                {3: 2, 4: 4, 6: 6, 7: 7, 8: 9, 9: 7, 12: 9, 14: 21, 16: 12,
+                 18: 24, 21: 15, 24: 15, 28: 19, 36: 22, 42: 37, 48: 38,
+                 56: 45, 63: 33, 72: 42, 84: 48, 112: 83, 126: 110, 144: 89,
+                 168: 94, 252: 156, 336: 196, 504: 269, 1008: 583, 1009: 2,
+                 2018: 3},
+                Fraction(0),
+            ),
+            (
+                (3, 1, 2),
+                20000,
+                {1: 1629, 2: 11688, 3: 3331, 6: 3352},
+                Fraction(1629, 20000),
+            ),
+        ],
+        ids=["61-3-1", "1009-3-1", "3-1-2"],
+    )
+    def test_pinned_reports(self, family, budget, orders, split_fraction):
+        fam = TrinomialFamily(*family)
+        assert frobenius_sample(fam, budget) == SampleReport(
+            fam, budget, orders, split_fraction
+        )
+
     def test_does_not_factor_f(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("degree_pattern called")
