@@ -210,14 +210,15 @@ def cmd_enumerate(args) -> int:
                 if args.p_divides_delta and cls.delta(fam) % p != 0:
                     continue
                 c = cls.classify(fam, **cfg.factor_budget())
+                # an Unknown verdict sets the exit code even when filtered
+                if c.irreducible and c.monogenic is None:
+                    unknown = True
                 if args.monogenic_only and not c.monogenic:
                     continue
                 if args.case and (
                     c.case is None or c.case.kind.value != args.case
                 ):
                     continue
-                if c.irreducible and c.monogenic is None:
-                    unknown = True
                 writer.write(classification_row(c))
     return EXIT_UNKNOWN if unknown else EXIT_OK
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import arith, poly
-from .poly import IntPolynomial, ModPolynomial, gcd_mod, reduce_mod, trinomial
+from .poly import IntPolynomial, trinomial
 
 __all__ = [
     "GeneralTrinomial",
@@ -113,8 +113,9 @@ def swan_general_discriminant(t: GeneralTrinomial) -> int:
     return (-1) ** (n * (n - 1) // 2) * B ** (m - 1) * core**t.d0
 
 
-def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> ModPolynomial:
-    """H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q mod q, with Q = q^r, q ∤ AB.
+def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> list:
+    """H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q mod q, with Q = q^r, q ∤ AB,
+    as a reduced coefficient list over F_q.
 
     Each numerator coefficient C(Q,i) (-A)^i (-B)^{Q-i}, plus A at i = Q
     and B at i = 0, is needed only mod q^2.  C(Q,i) is carried as q^v
@@ -148,7 +149,7 @@ def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> ModPolynomial:
             unit = unit * (num % q2) % q2 * pow(den, -1, q2) % q2
             powA = powA * -A % q2
             powB = powB * invB % q2
-    return ModPolynomial(q, coeffs)
+    return poly._trim(coeffs)
 
 
 def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
@@ -213,11 +214,11 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         assert r >= 1, "q ∤ AB, q | m and q | disc but q ∤ n"
         Q = q**r
         s = m // Q
-        h1 = reduce_mod(trinomial(n // Q, s, A, B), q)
+        h1 = poly._reduce(trinomial(n // Q, s, A, B).coeffs, q)
         h2 = _build_h2(A, B, s, Q, q)
-        g = gcd_mod(h1, h2)
-        free = g.degree == 0
-        detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {g.degree}"
+        deg = len(poly._gcd(h1, h2, q)) - 1
+        free = deg == 0
+        detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {deg}"
         return IndexVerdict(q, not free, "iv", detail)
 
     crit = B ** (n1 - m1) * n1**n1 - (-1) ** m1 * A**n1 * m1**m1 * (

@@ -5,15 +5,15 @@ discriminant is computed from the resultant (via sympy's exact subresultant
 machinery).  The package itself uses Swan's closed form; this route is the
 independent oracle the tests compare it against.
 
-Over F_q every routine has one implementation, on plain reduced
-coefficient lists: product, remainder with delayed reduction, quotient,
-Euclid's gcd, powering, the squarefree split, the radical (product of the
-distinct monic irreducible factors, from the squarefree split alone; the
-Dedekind oracle needs nothing more) and the distinct-degree split behind
-`degree_pattern`.  `ModPolynomial` is the public type; it wraps their
-already-reduced results at the boundary.  The full factorization (those
-splits + Cantor-Zassenhaus equal-degree split with caller-supplied
-randomness) is used by tests.
+Over F_q a polynomial is a plain reduced coefficient list, constant term
+first, with no trailing zeros; there is no other F_q type.  Each routine
+has one implementation: product, remainder with delayed reduction,
+quotient, Euclid's gcd, powering, the squarefree split, the radical
+(product of the distinct monic irreducible factors, from the squarefree
+split alone; the Dedekind oracle needs nothing more) and the
+distinct-degree split behind `degree_pattern`.  The full factorization
+`factor_mod` (those splits + the Cantor-Zassenhaus equal-degree split) is
+used by tests.
 
 Irreducibility over Q is exact, with a certificate each way before
 sympy: a degree-set proof from the factor degrees mod the first few
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from itertools import islice
 
 import sympy
 
@@ -35,14 +35,9 @@ from . import arith
 
 __all__ = [
     "IntPolynomial",
-    "ModPolynomial",
-    "ModulusMismatch",
     "RamifiedPrime",
     "DegreeBudgetExceeded",
-    "reduce_mod",
-    "gcd_mod",
     "discriminant",
-    "radical_mod",
     "factor_mod",
     "degree_pattern",
     "is_irreducible_over_Q",
@@ -55,10 +50,6 @@ DEGREE_BUDGET = 40
 IRREDUCIBILITY_PRIMES = 10
 
 _x = sympy.Symbol("x")
-
-
-class ModulusMismatch(ValueError):
-    """Arithmetic attempted between polynomials over different prime fields."""
 
 
 class RamifiedPrime(ValueError):
@@ -76,10 +67,6 @@ def _trim(c):
     return c
 
 
-def _strip(coeffs):
-    return tuple(_trim(list(coeffs)))
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial over Z; coeffs[i] is the coefficient of x^i."""
@@ -87,7 +74,7 @@ class IntPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _strip(coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
 
     @property
     def degree(self) -> int:
@@ -212,112 +199,6 @@ def _pow_mod(a, e, m, q):
     return result
 
 
-@dataclass(frozen=True)
-class ModPolynomial:
-    """Polynomial over F_q; all coefficients reduced into [0, q).
-
-    The arithmetic works on coefficient lists (the helpers above) and
-    wraps their already-reduced results without reducing them again.
-    """
-
-    modulus: int
-    coeffs: tuple
-
-    def __init__(self, modulus, coeffs):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", _strip(c % modulus for c in coeffs))
-
-    @classmethod
-    def _wrap(cls, modulus, coeffs):
-        """A ModPolynomial of a reduced list, taken as it is."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        return self
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} != {other.modulus}")
-
-    def __add__(self, other):
-        self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ModPolynomial(self.modulus, [x + y for x, y in pairs])
-
-    def __sub__(self, other):
-        self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ModPolynomial(self.modulus, [x - y for x, y in pairs])
-
-    def __mul__(self, other):
-        q = self.modulus
-        if isinstance(other, int):
-            prod = [other * c for c in self.coeffs]
-        else:
-            self._check(other)
-            prod = _product(self.coeffs, other.coeffs)
-        return ModPolynomial._wrap(q, _reduce(prod, q))
-
-    def __divmod__(self, other):
-        return self // other, self % other
-
-    def __floordiv__(self, other):
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = self.modulus
-        return ModPolynomial._wrap(q, _quotient(self.coeffs, other.coeffs, q))
-
-    def __mod__(self, other):
-        """The remainder of self by other, without the quotient."""
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return self
-        q = self.modulus
-        return ModPolynomial._wrap(q, _remainder(self.coeffs, other.coeffs, q))
-
-    def monic(self) -> "ModPolynomial":
-        q = self.modulus
-        return ModPolynomial._wrap(q, _monic(self.coeffs, q))
-
-    def derivative(self) -> "ModPolynomial":
-        q = self.modulus
-        return ModPolynomial._wrap(q, _derivative(self.coeffs, q))
-
-    def __call__(self, v):
-        return _value(self.coeffs, v) % self.modulus
-
-    def pow_mod(self, e: int, mod: "ModPolynomial") -> "ModPolynomial":
-        """self^e reduced modulo `mod`."""
-        q, base = self.modulus, (self % mod).coeffs
-        return ModPolynomial._wrap(q, _pow_mod(base, e, mod.coeffs, q))
-
-
-def reduce_mod(f: IntPolynomial, q: int) -> ModPolynomial:
-    """Coefficientwise reduction of f modulo the prime q."""
-    return ModPolynomial(q, f.coeffs)
-
-
-def gcd_mod(f: ModPolynomial, g: ModPolynomial) -> ModPolynomial:
-    """Monic gcd over F_q (Euclid)."""
-    f._check(g)
-    q = f.modulus
-    return ModPolynomial._wrap(q, _gcd(f.coeffs, g.coeffs, q))
-
-
 def discriminant(f: IntPolynomial) -> int:
     """(-1)^{n(n-1)/2} * Res(f, f') / lc(f), computed exactly via resultants."""
     n = f.degree
@@ -357,24 +238,17 @@ def _squarefree_parts(f, q):
 
 
 def _radical(f, q):
-    """The radical of the nonzero reduced list f over F_q; see radical_mod."""
+    """The product of the distinct monic irreducible factors of the
+    nonzero reduced list f over F_q.
+
+    The squarefree parts are pairwise coprime and each is the product of
+    the irreducibles of one multiplicity, so their product is rad(f); no
+    factor is split further.
+    """
     rad = [1]
     for _, part in _squarefree_parts(f, q):
         rad = _reduce(_product(rad, part), q)
     return rad
-
-
-def radical_mod(f: ModPolynomial) -> ModPolynomial:
-    """Product of the distinct monic irreducible factors of f over F_q.
-
-    The squarefree parts are pairwise coprime and each is the product of
-    the irreducibles of one multiplicity, so their product is rad(f); no
-    factor is split further.  The work runs on coefficient lists
-    (`_radical`); only the result is wrapped.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no radical")
-    return ModPolynomial._wrap(f.modulus, _radical(f.coeffs, f.modulus))
 
 
 def _distinct_degree(f, q):
@@ -398,47 +272,51 @@ def _distinct_degree(f, q):
     return out
 
 
-def _equal_degree(f: ModPolynomial, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of monic squarefree f with all factors deg d."""
-    q = f.modulus
-    n = f.degree
+def _equal_degree(f, d, q, rng):
+    """Cantor-Zassenhaus split of the monic squarefree reduced list f,
+    all of whose irreducible factors have degree d."""
+    n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = ModPolynomial(q, [rng.randrange(q) for _ in range(n)])
-        if a.degree < 1:
+        a = _trim([rng.randrange(q) for _ in range(n)])
+        if len(a) < 2:
             continue
         if q % 2 == 1:
-            b = a.pow_mod((q**d - 1) // 2, f) - ModPolynomial(q, [1])
+            b = _pow_mod(a, (q**d - 1) // 2, f, q) + [0]
+            b[0] -= 1
         else:
             # trace map for characteristic 2
-            b = a
+            b = a + [0] * (n - len(a))
             t = a
             for _ in range(d - 1):
-                t = t.pow_mod(q, f)
-                b = b + t
-        g = gcd_mod(f, b)
-        if 0 < g.degree < n:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+                t = _pow_mod(t, q, f, q)
+                for i, x in enumerate(t):
+                    b[i] += x
+        g = _gcd(f, _reduce(b, q), q)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, q, rng) + _equal_degree(
+                _quotient(f, g, q), d, q, rng
+            )
 
 
-def factor_mod(f: ModPolynomial, seed: int = 0):
-    """Factor f over F_q as a list of (irreducible monic factor, exponent).
+def factor_mod(f, q):
+    """Factor the reduced list f over F_q: a list of (monic irreducible
+    factor, multiplicity) pairs, the factors as reduced lists.
 
-    The equal-degree split is randomized; a fixed seed makes the run
-    reproducible.  Factor order is canonical (by degree, then coefficients).
-    Used by tests, as the oracle for `radical_mod`.
+    The equal-degree split draws from a fixed-seed generator; the factors
+    are unique and come in canonical order (by degree, then coefficients)
+    whatever it draws.  Used by tests.
     """
-    if f.is_zero():
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    q = f.modulus
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = []
-    for mult, part in _squarefree_parts(f.coeffs, q):
+    for mult, part in _squarefree_parts(f, q):
         for d, prod in _distinct_degree(part, q):
-            for irr in _equal_degree(ModPolynomial._wrap(q, prod), d, rng):
+            for irr in _equal_degree(prod, d, q, rng):
                 out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 

@@ -186,6 +186,18 @@ class TestEnumerateCommand:
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows and all(r["case"] == "Omega_b1" for r in rows)
 
+    @pytest.mark.parametrize("only", [[], ["--monogenic-only"]])
+    def test_filtered_unknown_still_exits_unknown(self, capsys, only):
+        # the factoring budget runs out on the discriminant: the row is
+        # Unknown, and hiding it must not turn the exit code into success
+        code, out, _ = run(
+            capsys, "enumerate", "-p", "3", "--a-min", "123456789",
+            "--a-max", "123456789", "-b", "-1", "--budget", "2",
+            "--format", "jsonl", *only,
+        )
+        assert code == EXIT_UNKNOWN
+        assert len(out.splitlines()) == (0 if only else 1)
+
     def test_bad_prime_rejected(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "-p", "6", "--a-min", "1", "--a-max", "2",

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
 from monotri import arith, cli, indexcheck, poly
 from monotri import classify as cls
@@ -17,7 +19,7 @@ from monotri.indexcheck import (
     swan_general_discriminant,
     trinomial_is_monogenic,
 )
-from monotri.poly import IntPolynomial, ModPolynomial
+from monotri.poly import IntPolynomial
 
 
 def big_integer_h2(A, B, s, Q, q):
@@ -126,12 +128,7 @@ class TestJksIndexFree:
     def test_h2_shape_for_sextics(self):
         # H2 for x^6 +- x^3 + 1 at q=3 is -x(x +- 1) mod 3
         for A in (1, -1):
-            h2 = _build_h2(A, 1, 1, 3, 3)
-            assert h2.modulus == 3
-            expect = poly.ModPolynomial(3, [0, 1]) * poly.ModPolynomial(
-                3, [A, 1]
-            ) * -1
-            assert h2.coeffs == expect.coeffs
+            assert _build_h2(A, 1, 1, 3, 3) == poly._reduce([0, -A, -1], 3)
 
     def test_rejects_non_discriminant_prime(self):
         with pytest.raises(NotADiscriminantPrime):
@@ -177,7 +174,7 @@ class TestBuildH2:
         s = data.draw(st.integers(1, 3))
         A, B = data.draw(unit_mod(q)), data.draw(unit_mod(q))
         Q = q**r
-        expect = poly.reduce_mod(big_integer_h2(A, B, s, Q, q), q)
+        expect = poly._reduce(big_integer_h2(A, B, s, Q, q).coeffs, q)
         assert _build_h2(A, B, s, Q, q) == expect
 
     @pytest.mark.parametrize("z", [1, 3, 5, 7])
@@ -202,25 +199,26 @@ class TestBuildH2:
 
 
 def textbook_dedekind(f, q):
-    """Oracle: Dedekind's criterion with g the product of the distinct
-    irreducible factors of f mod q from factor_mod, and h = (f mod q)/g.
-    T = (g*h - f)/q is formed under the [0, q) lift and the symmetric
-    lift; the verdict gcd(T, g, h) mod q must not depend on the lift."""
-    fbar = poly.reduce_mod(f, q)
-    gbar = ModPolynomial(q, [1])
-    for irr, _ in poly.factor_mod(fbar):
-        gbar = gbar * irr
-    hbar = fbar // gbar
+    """Oracle, on sympy's galoistools alone: Dedekind's criterion with g
+    the product of the distinct irreducible factors of f mod q from
+    gf_factor, and h = (f mod q)/g.  T = (g*h - f)/q is formed under the
+    [0, q) lift and the symmetric lift; the verdict gcd(T, g, h) mod q must
+    not depend on the lift.  Lists here are leading coefficient first."""
+    fbar = gt.gf_from_int_poly(f.coeffs[::-1], q)
+    gbar = [ZZ(1)]
+    for irr, _ in gt.gf_factor(fbar, q, ZZ)[1]:
+        gbar = gt.gf_mul(gbar, irr, q, ZZ)
+    hbar = gt.gf_quo(fbar, gbar, q, ZZ)
     verdicts = set()
     for lift in (lambda c: c, lambda c: c - q if c > q // 2 else c):
         diff = [-c for c in f.coeffs]
-        for i, gi in enumerate(gbar.coeffs):
-            for j, hj in enumerate(hbar.coeffs):
+        for i, gi in enumerate(reversed(gbar)):
+            for j, hj in enumerate(reversed(hbar)):
                 diff[i + j] += lift(gi) * lift(hj)
         assert all(c % q == 0 for c in diff)
-        tbar = ModPolynomial(q, [c // q for c in diff])
-        d = poly.gcd_mod(poly.gcd_mod(tbar, gbar), hbar)
-        verdicts.add(d.degree > 0)
+        tbar = gt.gf_from_int_poly([c // q for c in reversed(diff)], q)
+        d = gt.gf_gcd(gt.gf_gcd(tbar, gbar, q, ZZ), hbar, q, ZZ)
+        verdicts.add(gt.gf_degree(d) > 0)
     assert len(verdicts) == 1, "the verdict depends on the lift"
     return verdicts.pop()
 
@@ -231,15 +229,15 @@ def _planted_multiplicity_cases(draw):
     factors of degree 1 or 2 raised to 1, 2, q or 2q, lifted to Z with a
     random multiple of q added below the leading term."""
     q = draw(st.sampled_from([2, 3, 5, 7]))
-    fbar = ModPolynomial(q, [1])
+    fbar = [1]
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(1, 2))
         coeffs = draw(st.lists(st.integers(0, q - 1), min_size=deg, max_size=deg))
         for _ in range(draw(st.sampled_from([1, 2, q, 2 * q]))):
-            fbar = fbar * ModPolynomial(q, coeffs + [1])
-    n = fbar.degree
+            fbar = poly._reduce(poly._product(fbar, coeffs + [1]), q)
+    n = len(fbar) - 1
     noise = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    f = IntPolynomial([c + q * r for c, r in zip(fbar.coeffs[:n], noise)] + [1])
+    f = IntPolynomial([c + q * r for c, r in zip(fbar[:n], noise)] + [1])
     return f, q
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -11,106 +12,93 @@ from monotri import arith, cli, poly
 from monotri.poly import (
     DegreeBudgetExceeded,
     IntPolynomial,
-    ModPolynomial,
-    ModulusMismatch,
     RamifiedPrime,
+    _derivative,
+    _gcd,
+    _monic,
+    _pow_mod,
+    _product,
+    _quotient,
+    _radical,
+    _reduce,
+    _remainder,
+    _trim,
+    _value,
     degree_pattern,
     discriminant,
     factor_mod,
-    gcd_mod,
     is_irreducible_over_Q,
-    radical_mod,
-    reduce_mod,
     trinomial,
 )
 
 
+def _gf(f):
+    """Coefficients in galoistools' order, leading coefficient first."""
+    return ZZ.map(f[::-1])
+
+
 class TestReduceMod:
     def test_identity_below_modulus(self):
-        assert reduce_mod(IntPolynomial([1, 3, 1]), 5).coeffs == (1, 3, 1)
+        assert _reduce([1, 3, 1], 5) == [1, 3, 1]
 
     def test_reduction(self):
-        assert reduce_mod(IntPolynomial([5, 6, 1]), 5).coeffs == (0, 1, 1)
+        assert _reduce([5, 6, 1], 5) == [0, 1, 1]
 
     def test_h1_shape_mod_5(self):
         # H1 for (5, 3, 1) collapses to (x+4)^2 over F_5
-        h1 = reduce_mod(IntPolynomial([1, 3, 1]), 5)
-        square = ModPolynomial(5, [4, 1]) * ModPolynomial(5, [4, 1])
-        assert h1.coeffs == square.coeffs
+        assert _reduce([1, 3, 1], 5) == _reduce(_product([4, 1], [4, 1]), 5)
 
 
 class TestGcdMod:
     def test_paper_coprimality(self):
-        h1 = ModPolynomial(5, [16, 8, 1])  # (x+4)^2
-        h2 = ModPolynomial(5, [0, 2, 2, 3, 4, 2])  # 2x(x^4+2x^3+3x^2+x+1)
-        assert gcd_mod(h1, h2).coeffs == (1,)
+        h1 = _reduce([16, 8, 1], 5)  # (x+4)^2
+        h2 = [0, 2, 2, 3, 4, 2]  # 2x(x^4+2x^3+3x^2+x+1)
+        assert _gcd(h1, h2, 5) == [1]
 
     def test_common_factor(self):
-        assert gcd_mod(
-            ModPolynomial(5, [0, 1, 1]), ModPolynomial(5, [0, 1])
-        ).coeffs == (0, 1)
+        assert _gcd([0, 1, 1], [0, 1], 5) == [0, 1]
 
     def test_gcd_with_zero(self):
-        f = ModPolynomial(5, [1, 3, 2])
-        g = gcd_mod(f, ModPolynomial(5, []))
-        assert g.lc == 1 and g.degree == f.degree
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
-            gcd_mod(ModPolynomial(5, [1, 1]), ModPolynomial(7, [1, 1]))
+        g = _gcd([1, 3, 2], [], 5)
+        assert g[-1] == 1 and len(g) == 3
 
 
 @st.composite
 def _dividend_and_divisor(draw):
-    """(a, b) over F_q with degrees up to 30 in either order; b is nonzero
-    and its leading coefficient is any unit, not only 1."""
+    """(q, a, b) over F_q with degrees up to 30 in either order; b is
+    nonzero and its leading coefficient is any unit, not only 1."""
     q = draw(st.sampled_from([2, 3, 5, 7, 101]))
     coeff = st.integers(0, q - 1)
-    a = draw(st.lists(coeff, max_size=31))
+    a = _trim(draw(st.lists(coeff, max_size=31)))
     b = draw(st.lists(coeff, max_size=30)) + [draw(st.integers(1, q - 1))]
-    return ModPolynomial(q, a), ModPolynomial(q, b)
+    return q, a, b
 
 
 class TestRemainder:
     @given(_dividend_and_divisor())
     @settings(max_examples=300, deadline=None)
     def test_equals_divmod_remainder(self, case):
-        a, b = case
-        quo, rem = divmod(a, b)
-        assert a % b == rem
-        assert quo * b + rem == a
+        q, a, b = case
+        quo, rem = _quotient(a, b, q), _remainder(a, b, q)
+        assert [_gf(quo), _gf(rem)] == list(gt.gf_div(_gf(a), _gf(b), q, ZZ))
+        pairs = zip_longest(_product(quo, b), rem, fillvalue=0)
+        assert _reduce([x + y for x, y in pairs], q) == a
 
     def test_lower_degree_dividend_is_its_own_remainder(self):
-        a = ModPolynomial(7, [3, 0, 5])
-        assert a % ModPolynomial(7, [1, 2, 0, 4]) == a
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ModPolynomial(5, [1, 1]) % ModPolynomial(5, [])
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
-            ModPolynomial(5, [1, 1]) % ModPolynomial(7, [1, 1])
+        assert _remainder([3, 0, 5], [1, 2, 0, 4], 7) == [3, 0, 5]
 
 
 @st.composite
 def _kernel_cases(draw):
-    """(q, a, b, m, e): a and b any polynomials over F_q, zero included;
+    """(q, a, b, m, e): a and b any reduced lists over F_q, zero included;
     m nonzero with any unit as leading coefficient, of any degree relative
     to a; e an exponent."""
     q = draw(st.sampled_from([2, 3, 7, 1000003]))
     coeff = st.integers(0, q - 1)
-    a = ModPolynomial(q, draw(st.lists(coeff, max_size=16)))
-    b = ModPolynomial(q, draw(st.lists(coeff, max_size=12)))
-    m = ModPolynomial(
-        q, draw(st.lists(coeff, max_size=10)) + [draw(st.integers(1, q - 1))]
-    )
+    a = _trim(draw(st.lists(coeff, max_size=16)))
+    b = _trim(draw(st.lists(coeff, max_size=12)))
+    m = draw(st.lists(coeff, max_size=10)) + [draw(st.integers(1, q - 1))]
     return q, a, b, m, draw(st.integers(0, 3 * q))
-
-
-def _gf(f):
-    """Coefficients in galoistools' order, leading coefficient first."""
-    return ZZ.map(list(reversed(f.coeffs)))
 
 
 class TestKernelAgainstGaloistools:
@@ -118,30 +106,38 @@ class TestKernelAgainstGaloistools:
     @settings(max_examples=400, deadline=None)
     def test_matches_galoistools(self, case):
         q, a, b, m, e = case
-        assert _gf(a * b) == gt.gf_mul(_gf(a), _gf(b), q, ZZ)
-        quo, rem = divmod(a, m)
-        assert [_gf(quo), _gf(rem)] == list(gt.gf_div(_gf(a), _gf(m), q, ZZ))
-        assert _gf(a % m) == gt.gf_rem(_gf(a), _gf(m), q, ZZ)
-        assert _gf(gcd_mod(a, b)) == gt.gf_gcd(_gf(a), _gf(b), q, ZZ)
-        assert _gf(a.pow_mod(e, m)) == gt.gf_pow_mod(_gf(a), e, _gf(m), q, ZZ)
-        assert _gf(m.monic()) == gt.gf_monic(_gf(m), q, ZZ)[1]
-        assert _gf(a.derivative()) == gt.gf_diff(_gf(a), q, ZZ)
+        ga, gb, gm = _gf(a), _gf(b), _gf(m)
+        assert _gf(_reduce(_product(a, b), q)) == gt.gf_mul(ga, gb, q, ZZ)
+        assert [_gf(_quotient(a, m, q)), _gf(_remainder(a, m, q))] == list(
+            gt.gf_div(ga, gm, q, ZZ)
+        )
+        assert _gf(_gcd(a, b, q)) == gt.gf_gcd(ga, gb, q, ZZ)
+        power = _pow_mod(_remainder(a, m, q), e, m, q)
+        assert _gf(power) == gt.gf_pow_mod(ga, e, gm, q, ZZ)
+        assert _gf(_monic(m, q)) == gt.gf_monic(gm, q, ZZ)[1]
+        assert _gf(_derivative(a, q)) == gt.gf_diff(ga, q, ZZ)
         for f in (a, m):
-            if f.is_zero():
+            if not f:
                 continue
+            gf = _gf(f)
             # the radical is the product of the squarefree parts
             rad = [ZZ(1)]
-            for part, _ in gt.gf_sqf_list(_gf(f), q, ZZ)[1]:
+            for part, _ in gt.gf_sqf_list(gf, q, ZZ)[1]:
                 rad = gt.gf_mul(rad, part, q, ZZ)
-            assert _gf(radical_mod(f)) == rad
-            f_int = IntPolynomial(f.coeffs)
-            if gt.gf_sqf_p(_gf(f), q, ZZ):
-                factors = gt.gf_factor_sqf(_gf(f), q, ZZ)[1]
+            assert _gf(_radical(f, q)) == rad
+            # the same monic factors with the same multiplicities, in
+            # canonical order
+            factors = factor_mod(f, q)
+            assert factors == sorted(factors, key=lambda t: (len(t[0]), t[0]))
+            want = sorted(gt.gf_factor(gf, q, ZZ)[1])
+            assert sorted((_gf(g), k) for g, k in factors) == want
+            if gt.gf_sqf_p(gf, q, ZZ):
+                factors = gt.gf_factor_sqf(gf, q, ZZ)[1]
                 degrees = sorted(gt.gf_degree(g) for g in factors)
-                assert degree_pattern(f_int, q) == degrees
+                assert degree_pattern(IntPolynomial(f), q) == degrees
             else:
                 with pytest.raises(RamifiedPrime):
-                    degree_pattern(f_int, q)
+                    degree_pattern(IntPolynomial(f), q)
 
 
 class TestDiscriminant:
@@ -186,41 +182,39 @@ class TestClosedFormAgreement:
 
 class TestFactorMod:
     def test_split_linear(self):
-        fs = factor_mod(ModPolynomial(5, [0, 1, 1]))
-        assert [(f.coeffs, e) for f, e in fs] == [((0, 1), 1), ((1, 1), 1)]
+        assert factor_mod([0, 1, 1], 5) == [([0, 1], 1), ([1, 1], 1)]
 
     def test_repeated_factor(self):
-        fs = factor_mod(ModPolynomial(5, [16, 8, 1]))
-        assert [(f.coeffs, e) for f, e in fs] == [((4, 1), 2)]
+        # (x+4)^2 = x^2 + 8x + 16
+        assert factor_mod(_reduce([16, 8, 1], 5), 5) == [([4, 1], 2)]
 
     def test_inert_quadratic(self):
         # F_5 has no square root of -2: exhaustive root check
         assert all((x * x + 2) % 5 for x in range(5))
-        fs = factor_mod(ModPolynomial(5, [2, 0, 1]))
-        assert [(f.coeffs, e) for f, e in fs] == [((2, 0, 1), 1)]
+        assert factor_mod([2, 0, 1], 5) == [([2, 0, 1], 1)]
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            factor_mod([], 5)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 13])
     def test_remultiplies_and_factors_irreducible(self, q):
         rng = random.Random(q)
-        for trial in range(60):
-            coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 8))]
-            coeffs.append(rng.randrange(1, q))
-            f = ModPolynomial(q, coeffs)
-            fs = factor_mod(f, seed=trial)
-            prod = ModPolynomial(q, [f.lc])
-            for g, e in fs:
-                assert g.lc == 1
+        for _ in range(60):
+            f = [rng.randrange(q) for _ in range(rng.randrange(1, 8))]
+            f.append(rng.randrange(1, q))
+            prod = [f[-1]]
+            for g, e in factor_mod(f, q):
+                assert g[-1] == 1
                 # no roots certifies irreducibility up to degree 3;
                 # above that a full distinct-degree split of g must be trivial
-                if g.degree <= 3 and g.degree > 1:
-                    assert all(g(x) != 0 for x in range(q))
-                elif g.degree > 3:
-                    assert [(gg.coeffs, ee) for gg, ee in factor_mod(g)] == [
-                        (g.coeffs, 1)
-                    ]
+                if 2 < len(g) <= 4:
+                    assert all(_value(g, x) % q for x in range(q))
+                elif len(g) > 4:
+                    assert factor_mod(g, q) == [(g, 1)]
                 for _ in range(e):
-                    prod = prod * g
-            assert prod.coeffs == f.coeffs
+                    prod = _reduce(_product(prod, g), q)
+            assert prod == f
 
 
 @st.composite
@@ -228,36 +222,31 @@ def _powered_products(draw):
     """(q, f) with f a product of random monic factors over F_q, each raised
     to a multiplicity in {1, 2, q, 2q}."""
     q = draw(st.sampled_from([2, 3, 5, 7]))
-    f = ModPolynomial(q, [1])
+    f = [1]
     for _ in range(draw(st.integers(1, 3))):
         low = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
-        factor = ModPolynomial(q, low + [1])
         for _ in range(draw(st.sampled_from([1, 2, q, 2 * q]))):
-            f = f * factor
+            f = _reduce(_product(f, low + [1]), q)
     return q, f
 
 
 class TestRadicalMod:
     def test_examples(self):
         # (x + 1)^2 (x + 2) over F_5
-        assert radical_mod(ModPolynomial(5, [2, 0, 4, 1])).coeffs == (2, 3, 1)
+        assert _radical([2, 0, 4, 1], 5) == [2, 3, 1]
         # x^4 + 1 = (x + 1)^4 over F_2: the multiplicity is a power of q
-        assert radical_mod(ModPolynomial(2, [1, 0, 0, 0, 1])).coeffs == (1, 1)
+        assert _radical([1, 0, 0, 0, 1], 2) == [1, 1]
         # the radical is monic
-        assert radical_mod(ModPolynomial(7, [3, 3])).coeffs == (1, 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            radical_mod(ModPolynomial(3, []))
+        assert _radical([3, 3], 7) == [1, 1]
 
     @given(_powered_products())
     @settings(max_examples=150, deadline=None)
     def test_equals_product_of_distinct_irreducibles(self, case):
         q, f = case
-        prod = ModPolynomial(q, [1])
-        for g, _ in factor_mod(f):
-            prod = prod * g
-        assert radical_mod(f) == prod
+        prod = [1]
+        for g, _ in factor_mod(f, q):
+            prod = _reduce(_product(prod, g), q)
+        assert _radical(f, q) == prod
 
 
 class TestDegreePattern:
