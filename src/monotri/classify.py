@@ -18,7 +18,7 @@ from enum import Enum
 from . import arith, indexcheck
 from .arith import FactorizationBudgetExceeded
 from .indexcheck import GeneralTrinomial, Reducible
-from .poly import IntPolynomial, trinomial
+from .poly import IntPolynomial, _lift_root, trinomial
 
 __all__ = [
     "TrinomialFamily",
@@ -134,6 +134,11 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
     return b ** (p * (p - 1)) * p ** (2 * p) * delta(fam) ** p
 
 
+# family_is_irreducible tries every s in [-S, S] up to this S, and lifts
+# the roots of D_p(s, b) + a mod a prime above it
+SCAN_BOUND = 64
+
+
 def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
     """gamma^k + conj(gamma)^k where gamma + conj = s, gamma*conj = n.
 
@@ -177,9 +182,18 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     f.  Otherwise, with beta a root of g, f is irreducible iff beta is not
     a p-th power in Q(beta).  Any gamma with gamma^p = beta is a quadratic
     integer of norm b and some integer trace s, and then
-    trace(gamma^p) = D_p(s, b) must equal -a; so f is reducible iff the
-    Dickson value D_p(s, b) hits -a for some integer s in a small range.
-    Each candidate s costs one `_dickson_trace`, O(log p) multiplications.
+    trace(gamma^p) = D_p(s, b) must equal -a; so f is reducible iff
+    P(s) = D_p(s, b) + a has an integer root with |s| <= S, a bound from
+    the size of beta.  Each value of P costs one `_dickson_trace`, O(log p)
+    multiplications.
+
+    For S <= SCAN_BOUND every s in [-S, S] is tried.  Otherwise the roots
+    of P mod the least prime ell not dividing 2 p b delta, found among
+    ell values of P, are lifted (`poly._lift_root`) past 2S in O(log log S)
+    steps of three ladders each, and tested exactly.  There s^2 - 4b is a
+    unit mod ell at every root of P, and so is P'(s) = p U_p(s, b) =
+    p (2 V_{p+1} - s V_p) / (s^2 - 4b): either failing forces
+    a^2 = 4 b^p mod ell.
     """
     p, a, b = fam.p, fam.a, fam.b
     d = delta(fam)
@@ -188,9 +202,25 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     # |gamma| <= max(|beta|, |beta'|)^{1/p}, which bounds s = gamma + conj
     root_bound = (abs(a) + math.isqrt(abs(d)) + 2) // 2 + 1
     s_bound = 2 * _ceil_root(root_bound, p) + 2
-    for s in range(-s_bound, s_bound + 1):
-        if _dickson_trace(s, b, p) == -a:
-            return False
+    if s_bound <= SCAN_BOUND:
+        for s in range(-s_bound, s_bound + 1):
+            if _dickson_trace(s, b, p) == -a:
+                return False
+        return True
+
+    def value(s, m):
+        return _dickson_trace(s, b, p, m) + a
+
+    def slope(s, m):
+        v, w = _dickson_trace(s, b, p, m), _dickson_trace(s, b, p + 1, m)
+        return p * (2 * w - s * v) * pow(s * s - 4 * b, -1, m)
+
+    ell = next(q for q in arith.primes() if 2 * p * b * d % q)
+    for r in range(ell):
+        if value(r, ell) % ell == 0:
+            s = _lift_root(r, ell, 2 * s_bound, value, slope)
+            if abs(s) <= s_bound and _dickson_trace(s, b, p) == -a:
+                return False
     return True
 
 

@@ -2,16 +2,19 @@
 
 The claimed groups leave fingerprints on Frobenius data: the set of element
 orders bounds the lcm of every unramified degree pattern, and complete
-splitting happens with density 1/|G|.  Sampling a few thousand unramified
-primes is enough to separate the candidate groups, whose orders differ by a
-factor of two.
+splitting happens with density 1/|G|.  The verdict compares the observed
+orders with the claimed spectrum and the split fraction with 1/|G| under a
+fixed relative tolerance.  That is not a test with stated error rates: when
+a sample expects less than one complete split (2,000 primes against
+|G| = 7,320 for p = 61), it rejects the true group.
 
 The Frobenius order of f = g(x^p) at ell is read off g = x^2 + a x + b^p
 mod ell (Lidl-Niederreiter, Finite Fields, Thm 3.75); no degree pattern is
 built.  The divisors of p - 1 and a table of ord_p(r) are computed once per
 family; each prime then costs one Euler-criterion split test and, when p
-divides Q - 1, one p-th-power test of the root of g in O(log ell) field
-operations on the Lucas ladder that `classify` runs over Z for
+divides Q - 1, at most one p-th-power test of the root of g: a Lucas
+ladder over the exponent (ell - 1)/p or (ell + 1)/p for the norm-1
+quotient of the roots of g, on the ladder that `classify` runs over Z for
 irreducibility.  The tests hold the orders equal to the lcm of a
 distinct-degree factorization of f itself in `poly`.
 """
@@ -99,11 +102,20 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
     from a per-family table of ord_p(r) keyed by r = Q mod p and filled from
     the divisors of p - 1 as residues occur.  Otherwise x^p - beta splits
     completely if beta is a p-th power and is irreducible if not: order 1
-    or p.  The roots of g have product b^p, so both are p-th powers or
-    neither is, and one Lucas value V_e(-a, b^p) mod ell, e = (Q - 1)/p,
-    decides it: beta != beta' as ell does not divide delta, and
-    (beta beta')^e = b^{Q-1} = 1, so V_e = 2 exactly when beta^e = beta'^e
-    = 1.  A prime splits completely when g splits and the order is 1.
+    or p.  The roots of g have product c = b^p, so both are p-th powers or
+    neither is.  gamma = beta'/beta has norm 1 and trace s = a^2/c - 2, so
+    V_k(s, 1) = gamma^k + gamma^-k, which is 2 exactly when gamma^k = 1:
+
+    - g splits: beta^((ell-1)/p) is a p-th root of unity z, and
+      gamma^((ell-1)/p) = c^((ell-1)/p) / beta^(2(ell-1)/p) = z^-2, which
+      is 1 iff z = 1 as p is odd; k = (ell - 1)/p.
+    - g inert, p | ell + 1: beta' = beta^ell, so gamma^((ell+1)/p) =
+      beta^((ell^2-1)/p); k = (ell + 1)/p, half the length of a ladder
+      over (Q - 1)/p.
+    - g inert, p | ell - 1: beta^((ell^2-1)/p) = (beta beta')^((ell-1)/p)
+      = b^(ell-1) = 1, so the order is 1 and no ladder runs.
+
+    A prime splits completely when g splits and the order is 1.
     """
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
@@ -128,7 +140,14 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
             if order is None:
                 order = order_of[r] = next(
                     e for e in divisors if pow(r, e, p) == 1)
-        elif _dickson_trace(-a % ell, c % ell, (q - 1) // p, ell) == 2 % ell:
+        elif not split and ell % p == 1:
+            order = 1  # beta^((Q - 1)/p) = c^((ell - 1)/p) = 1
+        elif _dickson_trace(
+            (a * a * pow(c, -1, ell) - 2) % ell,
+            1,
+            (ell - 1 if split else ell + 1) // p,
+            ell,
+        ) == 2 % ell:
             order = 1
         else:
             order = p

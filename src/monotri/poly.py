@@ -342,28 +342,38 @@ def degree_pattern(f: IntPolynomial, ell: int):
     return sorted(pattern)
 
 
+def _lift_root(r, ell, bound, value, slope):
+    """Newton's lift of the root r of P mod the prime ell, with P'(r) a
+    unit mod ell, to a modulus M > bound; its representative in (-M/2, M/2].
+
+    value(s, m) and slope(s, m) give P(s) and P'(s), exactly or mod m.
+    Each step squares M, and the lift mod M is unique (Loos, SIAM J.
+    Comput. 12, 1983), so an integer root of P with |root| < bound/2 that
+    reduces to r mod ell is the result.
+    """
+    m = ell
+    while m <= bound:
+        m *= m
+        r = (r - value(r, m) * pow(slope(r, m), -1, m)) % m
+    return r - m if r > m // 2 else r
+
+
 def _has_integer_root(f: IntPolynomial, ell: int) -> bool:
     """Whether the monic f, squarefree mod the prime ell, has a root in Z.
 
-    An integer root r is a simple root mod ell, and Newton's iteration
-    lifts each simple root mod ell uniquely to one mod ell^(2^k) (Loos,
-    SIAM J. Comput. 12, 1983).  Cauchy's bound gives |r| < H = 1 +
-    max|c_i|, so once the modulus M exceeds 2H, r is the lift's
-    representative in (-M/2, M/2], and one exact evaluation settles each
-    root mod ell.  The cost grows with log H, not with the divisors of
-    f(0).
+    An integer root r is a simple root mod ell, which `_lift_root` lifts.
+    Cauchy's bound gives |r| < H = 1 + max|c_i|, so lifting past 2H and
+    one exact evaluation settle each root mod ell.  The cost grows with
+    log H, not with the divisors of f(0).
     """
     c, dc = f.coeffs, f.derivative().coeffs
     bound = 2 * (1 + max(map(abs, c)))
     for r in range(ell):
         if _value(c, r) % ell:
             continue
-        m = ell
-        while m <= bound:
-            m *= m
-            r = (r - _value(c, r) * pow(_value(dc, r), -1, m)) % m
-        if r > m // 2:
-            r -= m
+        r = _lift_root(
+            r, ell, bound, lambda s, m: _value(c, s), lambda s, m: _value(dc, s)
+        )
         if _value(c, r) == 0:
             return True
     return False

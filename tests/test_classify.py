@@ -1,15 +1,19 @@
+import math
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monotri import arith, cli, indexcheck, poly
 from monotri.classify import (
+    SCAN_BOUND,
     CaseKind,
     GaloisKind,
     TrinomialFamily,
     UnsupportedB,
+    _ceil_root,
     _dickson_trace,
     case_label,
     classify,
@@ -100,6 +104,24 @@ class TestDicksonTrace:
         assert _dickson_trace(s, n, k, m) == _dickson_trace(s, n, k) % m
 
 
+def s_bound(fam):
+    """The bound S on |trace gamma| that `family_is_irreducible` uses."""
+    root_bound = (abs(fam.a) + math.isqrt(abs(delta(fam))) + 2) // 2 + 1
+    return 2 * _ceil_root(root_bound, fam.p) + 2
+
+
+def scan_is_irreducible(fam):
+    """Oracle: f is reducible iff delta is a square or D_p(s, b) = -a for
+    some s in [-S, S]; every s is tried."""
+    d = delta(fam)
+    if d == 0 or arith.exact_square_root(d) is not None:
+        return False
+    bound = s_bound(fam)
+    return all(
+        _dickson_trace(s, fam.b, fam.p) != -fam.a for s in range(-bound, bound + 1)
+    )
+
+
 class TestIrreducibility:
     def test_square_delta_reducible(self):
         assert not family_is_irreducible(TrinomialFamily(3, 2, -2))  # delta=36
@@ -137,6 +159,48 @@ class TestIrreducibility:
         fam = TrinomialFamily(1009, 10**400 + 1, 1)
         assert family_is_irreducible(fam)
         assert galois_group(fam).kind is GaloisKind.FULL_TIMES_C2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(-300, 300),
+        st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]),
+        st.integers(-2, 2),
+    )
+    def test_lift_matches_scan(self, p, s0, b, shift):
+        # a near -D_p(s0, b): reducible at shift 0, mostly not otherwise
+        a = shift - _dickson_trace(s0, b, p)
+        assume(a != 0)
+        fam = TrinomialFamily(p, a, b)
+        assume(s_bound(fam) > SCAN_BOUND)
+        assert family_is_irreducible(fam) == scan_is_irreducible(fam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+        st.integers(10**6, 10**40),
+        st.sampled_from([-1, 1]),
+        st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]),
+    )
+    def test_planted_root_far_outside_scan_range(self, p, s0, sign, b):
+        # gamma with trace s0 and norm b has gamma^p as a root of g; a scan
+        # of [-S, S] would take about 2 s0 Dickson values
+        a = -_dickson_trace(sign * s0, b, p)
+        assert not family_is_irreducible(TrinomialFamily(p, a, b))
+
+    def test_huge_a_or_b_within_a_deadline(self):
+        def expire(signum, frame):
+            raise TimeoutError("family_is_irreducible overran 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(1)
+        try:
+            for p, a, b in [(3, 10**400 + 1, 1), (5, 3, 10**30 + 1),
+                            (101, 10**300, 7)]:
+                assert family_is_irreducible(TrinomialFamily(p, a, b))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_huge_pth_power_root_reducible(self):
         # gamma = (3 + sqrt 5)/2 has norm 1; -a = trace(gamma^1009) has 422

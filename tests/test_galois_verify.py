@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -82,17 +83,28 @@ def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
     return [2 * e for e in per_root]
 
 
-def degree_pattern_sample(fam, prime_budget):
+def degree_pattern_sample(fam, prime_budget, branches):
     """`frobenius_sample` by factoring f mod each unramified ell: each
-    order is the lcm of the degree pattern, each split an all-ones one."""
+    order is the lcm of the degree pattern, each split an all-ones one.
+
+    Counts into `branches` the primes of each ladder branch of the
+    sampler.  g splits mod ell iff the pattern has an odd degree: over a
+    split g, x^p - beta has a root or is irreducible of degree p.
+    """
     f = family_polynomial(fam)
-    ramified = fam.p * fam.b * delta(fam)
+    p = fam.p
+    ramified = p * fam.b * delta(fam)
     observed = {}
     splits = used = 0
     for ell in arith.primes():
         if ramified % ell == 0:
             continue
         pattern = poly.degree_pattern(f, ell)
+        split = any(e % 2 for e in pattern)
+        if ell % p == 1:
+            branches["split" if split else "inert, p | ell - 1"] += 1
+        elif ell % p == p - 1 and not split:
+            branches["inert, p | ell + 1"] += 1
         order = math.lcm(*pattern)
         observed[order] = observed.get(order, 0) + 1
         splits += all(e == 1 for e in pattern)
@@ -154,16 +166,25 @@ class TestFrobeniusPattern:
 
 
 class TestFrobeniusSample:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
-        st.integers(-200, 200).filter(bool),
-        st.sampled_from([-3, -2, -1, 1, 2, 3]),
-    )
-    def test_matches_degree_pattern_sampler(self, p, a, b):
-        fam = TrinomialFamily(p, a, b)
-        assume(family_is_irreducible(fam))
-        assert frobenius_sample(fam, 60) == degree_pattern_sample(fam, 60)
+    def test_matches_degree_pattern_sampler(self):
+        branches = Counter()
+
+        @settings(max_examples=30, deadline=None)
+        @given(
+            st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+            st.integers(-200, 200).filter(bool),
+            st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]),
+        )
+        def matches(p, a, b):
+            fam = TrinomialFamily(p, a, b)
+            assume(family_is_irreducible(fam))
+            oracle = degree_pattern_sample(fam, 60, branches)
+            assert frobenius_sample(fam, 60) == oracle
+
+        matches()
+        # each ladder branch of the sampler was compared on enough primes
+        for branch in ("split", "inert, p | ell + 1", "inert, p | ell - 1"):
+            assert branches[branch] >= 20, branches
 
     @pytest.mark.parametrize(
         "family, budget, orders, split_fraction",
@@ -191,8 +212,22 @@ class TestFrobeniusSample:
                 {1: 1629, 2: 11688, 3: 3331, 6: 3352},
                 Fraction(1629, 20000),
             ),
+            # many inert primes with p | ell + 1; c = b^p = 128 for (7, 8, 2)
+            (
+                (7, 8, 2),
+                20000,
+                {1: 470, 2: 467, 3: 6667, 6: 6686, 7: 2851, 14: 2859},
+                Fraction(47, 2000),
+            ),
+            (
+                (13, 3, -1),
+                20000,
+                {1: 115, 2: 1653, 3: 3299, 4: 3339, 6: 3349, 12: 6692,
+                 13: 1553},
+                Fraction(23, 4000),
+            ),
         ],
-        ids=["61-3-1", "1009-3-1", "3-1-2"],
+        ids=["61-3-1", "1009-3-1", "3-1-2", "7-8-2", "13-3-neg1"],
     )
     def test_pinned_reports(self, family, budget, orders, split_fraction):
         fam = TrinomialFamily(*family)
