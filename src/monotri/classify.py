@@ -134,11 +134,6 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
     return b ** (p * (p - 1)) * p ** (2 * p) * delta(fam) ** p
 
 
-# family_is_irreducible tries every s in [-S, S] up to this S, and lifts
-# the roots of D_p(s, b) + a mod a prime above it
-SCAN_BOUND = 64
-
-
 def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
     """gamma^k + conj(gamma)^k where gamma + conj = s, gamma*conj = n.
 
@@ -150,6 +145,11 @@ def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
 
     With m > 0 every step is reduced mod m, giving V_k mod m in [0, m).
     """
+    return _dickson_pair(s, n, k, m)[0]
+
+
+def _dickson_pair(s: int, n: int, k: int, m: int = 0) -> tuple:
+    """(V_k, V_{k+1}) from the one ladder of `_dickson_trace`."""
     v, w, nj = 2, s, 1  # V_j, V_{j+1}, n^j at j = 0
     for bit in bin(k)[2:]:
         if bit == "1":
@@ -158,7 +158,7 @@ def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
             v, w, nj = v * v - 2 * nj, v * w - s * nj, nj * nj
         if m:
             v, w, nj = v % m, w % m, nj % m
-    return v
+    return v, w
 
 
 def _ceil_root(n: int, k: int) -> int:
@@ -187,13 +187,13 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     the size of beta.  Each value of P costs one `_dickson_trace`, O(log p)
     multiplications.
 
-    For S <= SCAN_BOUND every s in [-S, S] is tried.  Otherwise the roots
-    of P mod the least prime ell not dividing 2 p b delta, found among
-    ell values of P, are lifted (`poly._lift_root`) past 2S in O(log log S)
-    steps of three ladders each, and tested exactly.  There s^2 - 4b is a
-    unit mod ell at every root of P, and so is P'(s) = p U_p(s, b) =
-    p (2 V_{p+1} - s V_p) / (s^2 - 4b): either failing forces
-    a^2 = 4 b^p mod ell.
+    Rather than trying every s in [-S, S], the roots of P mod the least
+    prime ell not dividing 2 p b delta, found among ell values of P, are
+    lifted (`poly._lift_root`) past 2S in O(log log S) steps of one ladder
+    each, and tested exactly; so the cost grows with log S, not with S.
+    There s^2 - 4b is a unit mod ell at every root of P, and so is
+    P'(s) = p U_p(s, b) = p (2 V_{p+1} - s V_p) / (s^2 - 4b): either
+    failing forces a^2 = 4 b^p mod ell.
     """
     p, a, b = fam.p, fam.a, fam.b
     d = delta(fam)
@@ -202,23 +202,15 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     # |gamma| <= max(|beta|, |beta'|)^{1/p}, which bounds s = gamma + conj
     root_bound = (abs(a) + math.isqrt(abs(d)) + 2) // 2 + 1
     s_bound = 2 * _ceil_root(root_bound, p) + 2
-    if s_bound <= SCAN_BOUND:
-        for s in range(-s_bound, s_bound + 1):
-            if _dickson_trace(s, b, p) == -a:
-                return False
-        return True
 
-    def value(s, m):
-        return _dickson_trace(s, b, p, m) + a
-
-    def slope(s, m):
-        v, w = _dickson_trace(s, b, p, m), _dickson_trace(s, b, p + 1, m)
-        return p * (2 * w - s * v) * pow(s * s - 4 * b, -1, m)
+    def newton(s, m):
+        v, w = _dickson_pair(s, b, p, m)
+        return v + a, p * (2 * w - s * v) * pow(s * s - 4 * b, -1, m)
 
     ell = next(q for q in arith.primes() if 2 * p * b * d % q)
     for r in range(ell):
-        if value(r, ell) % ell == 0:
-            s = _lift_root(r, ell, 2 * s_bound, value, slope)
+        if (_dickson_trace(r, b, p, ell) + a) % ell == 0:
+            s = _lift_root(r, ell, 2 * s_bound, newton)
             if abs(s) <= s_bound and _dickson_trace(s, b, p) == -a:
                 return False
     return True

@@ -342,19 +342,20 @@ def degree_pattern(f: IntPolynomial, ell: int):
     return sorted(pattern)
 
 
-def _lift_root(r, ell, bound, value, slope):
+def _lift_root(r, ell, bound, newton):
     """Newton's lift of the root r of P mod the prime ell, with P'(r) a
     unit mod ell, to a modulus M > bound; its representative in (-M/2, M/2].
 
-    value(s, m) and slope(s, m) give P(s) and P'(s), exactly or mod m.
-    Each step squares M, and the lift mod M is unique (Loos, SIAM J.
-    Comput. 12, 1983), so an integer root of P with |root| < bound/2 that
-    reduces to r mod ell is the result.
+    newton(s, m) gives the pair (P(s), P'(s)), exactly or mod m.  Each
+    step squares M, and the lift mod M is unique (Loos, SIAM J. Comput.
+    12, 1983), so an integer root of P with |root| < bound/2 that reduces
+    to r mod ell is the result.
     """
     m = ell
     while m <= bound:
         m *= m
-        r = (r - value(r, m) * pow(slope(r, m), -1, m)) % m
+        value, slope = newton(r, m)
+        r = (r - value * pow(slope, -1, m)) % m
     return r - m if r > m // 2 else r
 
 
@@ -371,9 +372,7 @@ def _has_integer_root(f: IntPolynomial, ell: int) -> bool:
     for r in range(ell):
         if _value(c, r) % ell:
             continue
-        r = _lift_root(
-            r, ell, bound, lambda s, m: _value(c, s), lambda s, m: _value(dc, s)
-        )
+        r = _lift_root(r, ell, bound, lambda s, m: (_value(c, s), _value(dc, s)))
         if _value(c, r) == 0:
             return True
     return False

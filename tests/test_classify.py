@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from monotri import arith, cli, indexcheck, poly
 from monotri.classify import (
-    SCAN_BOUND,
     CaseKind,
     GaloisKind,
     TrinomialFamily,
@@ -172,8 +171,26 @@ class TestIrreducibility:
         a = shift - _dickson_trace(s0, b, p)
         assume(a != 0)
         fam = TrinomialFamily(p, a, b)
-        assume(s_bound(fam) > SCAN_BOUND)
         assert family_is_irreducible(fam) == scan_is_irreducible(fam)
+
+    def test_lift_matches_scan_on_small_bound_grid(self):
+        # every family here has S <= 64, where the lift replaced the scan;
+        # each reducible one has a root s of P with 2 <= |s| <= 4
+        reducible = 0
+        for p in (3, 5, 7, 11, 13, 101, 1009):
+            for b in (-5, -3, -2, -1, 1, 2, 3, 5):
+                planted = {-_dickson_trace(s, b, p) for s in range(-4, 5)}
+                for a in sorted(set(range(-40, 41)) | planted):
+                    if a == 0 or abs(a) > 10**6:
+                        continue
+                    fam = TrinomialFamily(p, a, b)
+                    assert s_bound(fam) <= 64, fam
+                    scan = scan_is_irreducible(fam)
+                    assert family_is_irreducible(fam) == scan, fam
+                    # reducible through a root of P, not a square delta
+                    square = arith.exact_square_root(delta(fam)) is not None
+                    reducible += not scan and not square
+        assert reducible >= 200, reducible
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monotri import arith, poly
@@ -169,12 +169,19 @@ class TestFrobeniusSample:
     def test_matches_degree_pattern_sampler(self):
         branches = Counter()
 
-        @settings(max_examples=30, deadline=None)
+        # derandomized, and the pinned families alone meet the branch floor
+        # below (51 split, 41 and 33 inert primes), so it holds on any draw
+        @settings(max_examples=30, deadline=None, derandomize=True)
         @given(
             st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
             st.integers(-200, 200).filter(bool),
             st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]),
         )
+        @example(3, 1, 2)
+        @example(3, 2, 2)
+        @example(5, 3, 1)
+        @example(7, 8, 2)
+        @example(13, 3, -1)
         def matches(p, a, b):
             fam = TrinomialFamily(p, a, b)
             assume(family_is_irreducible(fam))
