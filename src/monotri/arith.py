@@ -180,19 +180,23 @@ class FactoredInteger:
         return self.factors.get(q, 0)
 
 
-def _rho_exhausted(n, budget):
-    """The Unknown for a cofactor n that rho could not split.
+def _cite(n, noun="integer"):
+    """n as text for a message: str(n) up to _CITED_BITS bits.
 
-    Above _CITED_BITS, n is named by its bit length and low 64 bits: str()
+    Above that, n is named by its sign, bit length and low 64 bits: str()
     of it would be slow, and past 4300 digits it raises ValueError.
     """
     bits = n.bit_length()
     if bits <= _CITED_BITS:
-        cited = str(n)
-    else:
-        cited = f"a {bits}-bit cofactor ending 0x{n & (2**64 - 1):016x}"
+        return str(n)
+    sign = "negative " if n < 0 else ""
+    return f"a {sign}{bits}-bit {noun} ending 0x{abs(n) & (2**64 - 1):016x}"
+
+
+def _rho_exhausted(n, budget):
+    """The Unknown for a cofactor n that rho could not split."""
     return FactorizationBudgetExceeded(
-        f"rho budget {budget} exhausted on {cited}"
+        f"rho budget {budget} exhausted on {_cite(n, 'cofactor')}"
     )
 
 

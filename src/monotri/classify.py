@@ -216,12 +216,22 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     return True
 
 
+def _p_square_part(p: int, d: int):
+    """(sign, y) with delta = d = sign p y^2 and y >= 0, or None."""
+    if d % p:
+        return None
+    sign = 1 if d >= 0 else -1
+    y = arith.exact_square_root(sign * d // p)
+    return None if y is None else (sign, y)
+
+
 def _galois_kind(p: int, d: int) -> GaloisKind:
-    """Galois kind of an irreducible family from delta = d alone."""
-    if d % p == 0:
-        if p % 4 == 1 and d > 0 and arith.exact_square_root(d // p) is not None:
+    """Galois kind of an irreducible family (so d != 0) from delta = d."""
+    split = _p_square_part(p, d)
+    if split is not None:
+        if p % 4 == 1 and split[0] > 0:
             return GaloisKind.FROBENIUS_P_PMINUS1
-        if p % 4 == 3 and d < 0 and arith.exact_square_root(-d // p) is not None:
+        if p % 4 == 3 and split[0] < 0:
             return GaloisKind.HALF_TIMES_C2
     return GaloisKind.FULL_TIMES_C2
 
@@ -241,24 +251,17 @@ def case_label(fam: TrinomialFamily) -> CaseLabel:
         return CaseLabel(CaseKind.P_NOT_DIVIDING_DELTA)
     if b not in (1, -1):
         raise UnsupportedB(f"case ledger needs b = +-1, got b={b}")
-    t = d // p
-    if t == 0:
-        # delta = 0 = p*0^2 (a degenerate, always-reducible family)
-        return CaseLabel(CaseKind.GAMMA1_B1 if b == 1 else CaseKind.GAMMA1_BNEG1, 0)
-    if t > 0:
-        y = arith.exact_square_root(t)
-        if y is not None:
-            kind = CaseKind.GAMMA1_B1 if b == 1 else CaseKind.GAMMA1_BNEG1
-            return CaseLabel(kind, y)
-    elif t < 0:
-        y = arith.exact_square_root(-t)
-        if y is not None:
-            if b == -1:
-                # delta = a^2 + 4 > 0: cannot be -p y^2
-                raise AssertionError("(Gamma2, -1) is impossible")
-            return CaseLabel(CaseKind.GAMMA2_B1, y)
-    kind = CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1
-    return CaseLabel(kind)
+    split = _p_square_part(p, d)
+    if split is None:
+        return CaseLabel(CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1)
+    # delta = 0 = p 0^2 (a degenerate, always-reducible family) is Gamma1
+    sign, y = split
+    if sign > 0:
+        return CaseLabel(CaseKind.GAMMA1_B1 if b == 1 else CaseKind.GAMMA1_BNEG1, y)
+    if b == -1:
+        # delta = a^2 + 4 > 0: cannot be -p y^2
+        raise AssertionError("(Gamma2, -1) is impossible")
+    return CaseLabel(CaseKind.GAMMA2_B1, y)
 
 
 def _squarefree_reasons(a: int, b: int, **budget):

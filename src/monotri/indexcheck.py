@@ -117,38 +117,26 @@ def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> list:
     """H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q mod q, with Q = q^r, q ∤ AB,
     as a reduced coefficient list over F_q.
 
-    Each numerator coefficient C(Q,i) (-A)^i (-B)^{Q-i}, plus A at i = Q
-    and B at i = 0, is needed only mod q^2.  C(Q,i) is carried as q^v
-    times a unit mod q^2 and the powers of -A and -B mod q^2, so no
-    integer much wider than q^4 appears whatever Q is.
+    The numerator's x^{si} coefficient is C(Q,i) (-A)^i (-B)^{Q-i}, plus B
+    at i = 0 and A at i = Q.  For 0 < i < Q, v_q C(Q,i) = r - v_q(i), so
+    a middle term survives mod q^2 only at i = kQ/q with 0 < k < q.  There
+    C(Q, kQ/q) = C(q,k) mod q^2 (Babbage's C(qa, qb) = C(a,b) mod q^2,
+    applied r - 1 times), C(q,k)/q = (-1)^{k-1}/k mod q (Wilson), and
+    (-A)^{kQ/q} (-B)^{Q-kQ/q} = (-A)^k (-B)^{q-k} = -B (A/B)^k mod q
+    (Fermat).  So x^{k sQ/q} has the coefficient B (-A/B)^k / k mod q.
+    Only the two ends, (B + (-B)^Q)/q and (A + (-A)^Q)/q, need q^2.
+    The tests' exact integer H2, `big_integer_h2`, is the oracle.
     """
     q2 = q * q
+    lo, hi = B + pow(-B, Q, q2), A + pow(-A, Q, q2)
+    assert lo % q == 0 and hi % q == 0, "H2 numerator not divisible by q"
     coeffs = [0] * (s * Q + 1)
-    v, unit = 0, 1  # C(Q,i) = q^v * unit
-    powA = 1
-    powB = pow(-B, Q, q2)
-    invB = pow(-B, -1, q2)
-    for i in range(Q + 1):
-        c = unit * powA % q2 * powB % q2 * q**v if v < 2 else 0
-        if i == Q:
-            c += A
-        if i == 0:
-            c += B
-        c %= q2
-        assert c % q == 0, "H2 numerator not divisible by q"
-        coeffs[s * i] = c // q
-        if i < Q:
-            # C(Q,i+1) = C(Q,i) (Q-i)/(i+1): move the q's of both into v
-            num, den = Q - i, i + 1
-            while num % q == 0:
-                num //= q
-                v += 1
-            while den % q == 0:
-                den //= q
-                v -= 1
-            unit = unit * (num % q2) % q2 * pow(den, -1, q2) % q2
-            powA = powA * -A % q2
-            powB = powB * invB % q2
+    coeffs[0], coeffs[-1] = lo // q % q, hi // q % q
+    step = s * Q // q
+    c, ratio = B % q, -A * pow(B, -1, q) % q
+    for k in range(1, q):
+        c = c * ratio % q
+        coeffs[k * step] = c * pow(k, -1, q) % q
     return poly._trim(coeffs)
 
 
@@ -187,7 +175,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         first = a2 % q == 0 and b1 % q != 0
         second = (a2 * ((-B) ** m1 * a2**n1 - (-b1) ** n1)) % q != 0
         free = first or second
-        detail = f"(ii): q|A, q∤B; a2={a2}, b1={b1}"
+        detail = f"(ii): q|A, q∤B; a2={arith._cite(a2)}, b1={arith._cite(b1)}"
         return IndexVerdict(q, not free, "ii", detail)
 
     if not qA and qB:
@@ -203,7 +191,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
             * ((-A) ** m1 * a1 ** (n1 - m1) - (-b2) ** (n1 - m1))
         ) % q != 0
         free = first or second
-        detail = f"(iii): q∤A, q|B; a1={a1}, b2={b2}"
+        detail = f"(iii): q∤A, q|B; a1={arith._cite(a1)}, b2={arith._cite(b2)}"
         return IndexVerdict(q, not free, "iii", detail)
 
     if m % q == 0:

@@ -336,6 +336,13 @@ class TestFactorize:
             arith._pollard_brent(10007 * 10009, 1, random.Random(0))
         assert str(info.value) == "rho budget 1 exhausted on 100160063"
 
+    def test_cite_keeps_4096_bits_and_names_the_sign_above(self):
+        n = 2**4096 - 1
+        assert arith._cite(-n) == str(-n)
+        assert arith._cite(-(n + 2)) == (
+            "a negative 4097-bit integer ending 0x0000000000000001"
+        )
+
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, n):

@@ -277,11 +277,11 @@ class TestCaseLabel:
         assert c.kind is CaseKind.GAMMA1_BNEG1 and c.y_witness == 1
 
     def test_omega(self):
-        c = case_label(TrinomialFamily(3, 3, 1))  # delta = 5, no: 9-4=5
+        c = case_label(TrinomialFamily(3, 3, 1))  # delta = 5
         assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
-        c = case_label(TrinomialFamily(3, 6, 1))  # delta = 32... 36-4=32
+        c = case_label(TrinomialFamily(3, 6, 1))  # delta = 32
         assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
-        c = case_label(TrinomialFamily(3, 9, 1))  # delta = 77, 77%3=2
+        c = case_label(TrinomialFamily(3, 9, 1))  # delta = 77
         assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
         c = case_label(TrinomialFamily(3, 7, 1))  # delta = 45 = 3*15
         assert c.kind is CaseKind.OMEGA_B1 and c.y_witness is None

@@ -23,23 +23,19 @@ from monotri.poly import IntPolynomial
 
 
 def big_integer_h2(A, B, s, Q, q):
-    """Oracle: H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q over Z, exactly."""
+    """Oracle: H2 = (A x^{sQ} + B + (-A x^s - B)^Q) / q over Z, exactly.
+
+    term runs through C(Q,i) (-A)^i (-B)^{Q-i}; each step multiplies it by
+    (Q-i) A and divides it by i+1 and then by B, both exactly.
+    """
     coeffs = [0] * (s * Q + 1)
-    binom = 1
-    powA = 1
-    powB = (-B) ** Q
+    term = (-B) ** Q
     for i in range(Q + 1):
-        c = binom * powA * powB
-        if i == Q:
-            c += A
-        if i == 0:
-            c += B
-        assert c % q == 0, "H2 numerator not divisible by q"
-        coeffs[s * i] = c // q
+        c = term + (B if i == 0 else 0) + (A if i == Q else 0)
+        coeffs[s * i], rem = divmod(c, q)
+        assert rem == 0, "H2 numerator not divisible by q"
         if i < Q:
-            binom = binom * (Q - i) // (i + 1)
-            powA *= -A
-            powB //= -B
+            term = term * ((Q - i) * A) // (i + 1) // B
     return IntPolynomial(coeffs)
 
 
@@ -130,6 +126,16 @@ class TestJksIndexFree:
         for A in (1, -1):
             assert _build_h2(A, 1, 1, 3, 3) == poly._reduce([0, -A, -1], 3)
 
+    @pytest.mark.parametrize("p, b", [(101, 3), (211, 2)])
+    def test_huge_b1_is_cited_by_size(self, p, b):
+        # b1 = (b^p + (-b^p)^p)/p has about p^2 log2(b) bits, past the
+        # 4300-digit limit of str()
+        t = GeneralTrinomial(2 * p, p, p, b**p)
+        v = jks_index_free(t, p)
+        assert v.condition_used == "ii"
+        assert "b1=a negative " in v.detail and "-bit integer ending 0x" in v.detail
+        assert v.divides_index == dedekind_divides_index(t.polynomial(), p)
+
     def test_rejects_non_discriminant_prime(self):
         with pytest.raises(NotADiscriminantPrime):
             jks_index_free(GeneralTrinomial(10, 5, 3, 1), 7)
@@ -169,15 +175,30 @@ class TestBuildH2:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_big_integer_h2_mod_q(self, data):
+        # Q <= 13^3 = 2197 keeps the exact oracle fast
         q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-        r = data.draw(st.integers(1, 2))
+        r = data.draw(st.integers(1, 3))
         s = data.draw(st.integers(1, 3))
         A, B = data.draw(unit_mod(q)), data.draw(unit_mod(q))
         Q = q**r
         expect = poly._reduce(big_integer_h2(A, B, s, Q, q).coeffs, q)
         assert _build_h2(A, B, s, Q, q) == expect
 
-    @pytest.mark.parametrize("z", [1, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "q, r, s, A, B",
+        [
+            (2, 5, 3, 999_999, -1_000_001),
+            (3, 4, 2, -999_998, 1_000_000),
+            (101, 1, 3, 1_000_003, -999_997),
+            (1373, 1, 1, -1_000_001, 999_999),
+        ],
+    )
+    def test_matches_big_integer_h2_pinned(self, q, r, s, A, B):
+        Q = q**r
+        expect = poly._reduce(big_integer_h2(A, B, s, Q, q).coeffs, q)
+        assert _build_h2(A, B, s, Q, q) == expect
+
+    @pytest.mark.parametrize("z", [1, 3, 5, 7, 13, 17, 27])
     def test_engine_matches_dedekind_on_corollary_families(self, z):
         # (p, z, -1) with p = z^2 + 4: branch (iv) at q = p with Q = p
         p = z * z + 4
@@ -185,6 +206,18 @@ class TestBuildH2:
         v = jks_index_free(t, p)
         assert v.condition_used == "iv"
         assert v.divides_index == dedekind_divides_index(t.polynomial(), p)
+
+    @pytest.mark.parametrize("p", [173, 293, 733])
+    def test_engine_matches_dedekind_with_both_verdicts(self, p):
+        # branch (iv) at q = p; p divides the index at A = p^2 - 2 only
+        verdicts = []
+        for A in (p * p - 2, p + 2):
+            t = GeneralTrinomial(2 * p, p, A, 1)
+            v = jks_index_free(t, p)
+            assert v.condition_used == "iv"
+            assert v.divides_index == dedekind_divides_index(t.polynomial(), p)
+            verdicts.append(v.divides_index)
+        assert verdicts == [True, False]
 
     def test_engine_matches_dedekind_at_q_squared(self):
         # x^18 + A x^9 + B at q = 3: 9 | gcd(18, 9), so Q = 9 (r = 2)
