@@ -7,7 +7,9 @@ bound, before Pollard-Brent rho) and the walk.  That table is the
 module's only state; it is replaced whole, never edited, so every
 function here is safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
-divisions, not e.
+divisions, not e; each factor Pollard-Brent rho splits off loses its whole
+power the same way, so a repeated factor costs one rho call, not one per
+copy.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def is_prime(n: int) -> bool:
         witnesses = _SMALL_WITNESSES[: bisect_right(_PSI, n) + 1]
     else:
         rng = random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(_LARGE_ROUNDS)]
+        # Drawn lazily: a composite usually needs only the first.
+        witnesses = (rng.randrange(2, n - 1) for _ in range(_LARGE_ROUNDS))
     return not any(_miller_rabin_witness(n, a) for a in witnesses)
 
 
@@ -244,6 +247,8 @@ def _pollard_brent(n, budget, rng):
 def _divide_out(n, p):
     """(m, e) with n == m * p**e and p not dividing m, for n > 0, p >= 2.
 
+    p need not be prime: factorize also strips rho's composite factors.
+
     Divides by p, p^2, p^4, ... while they divide (each call strips one
     p, then recurses on p*p), then on the way back down divides by each
     of those powers that still divides: O(log e) big divisions instead
@@ -273,7 +278,11 @@ def factorize(
     _divide_out.  Every prime factor of what is left is >= d, the next
     untried candidate, so it, and each factor rho splits off it, is prime
     if it is below d*d or passes is_prime.  Pollard-Brent rho runs with an
-    iteration budget; budget exhaustion raises rather than guessing.
+    iteration budget; budget exhaustion raises rather than guessing.  The
+    rho stage keeps (cofactor, multiplicity) pairs: a factor g that rho
+    finds has its whole power divided out at once, and a perfect square
+    goes on as its root with twice the multiplicity: a repeated factor
+    takes one rho call, not one per copy.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -288,8 +297,11 @@ def factorize(
     if e:
         add(2, e)
         n >>= e
-    # No prime above sqrt(n) is ever tried, so the table need not reach it.
-    bound = min(trial_bound, math.isqrt(n))
+    # No prime above sqrt(n) is ever tried, so the table need not reach it;
+    # isqrt runs only when n is below trial_bound^2, never on a huge n.
+    bound = trial_bound
+    if n < trial_bound * trial_bound:
+        bound = min(trial_bound, math.isqrt(n))
     table, k = _trial_primes(bound)
     d = max(3, (bound + 1) | 1)  # the smallest odd number past the table
     for p in islice(table, 1, k):
@@ -300,19 +312,22 @@ def factorize(
             n, e = _divide_out(n // p, p)
             add(p, e + 1)
     rng = None  # seeded by n, made when rho first runs
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m < d * d or is_prime(m):
-            add(m)
+            add(m, e)
             continue
         root = math.isqrt(m)
         if root * root == m:
-            stack.extend([root, root])
+            stack.append((root, 2 * e))
             continue
         rng = rng or random.Random(n)
         g = _pollard_brent(m, rho_budget, rng)
-        stack.extend([g, m // g])
+        rest, k = _divide_out(m, g)
+        stack.append((g, k * e))
+        if rest > 1:
+            stack.append((rest, e))
     return FactoredInteger(sign, factors)
 
 

@@ -254,10 +254,11 @@ def corollary_scan_rows(z_max: int, budget: dict):
         # (p, a, -1) with the same Galois class
         unique = True
         for a in range(1, math.isqrt(p) + 1):
-            if a == z:
+            # only delta = a^2 + 4 = +p y^2 can give C_p : C_{p-1}, so an a
+            # with p not dividing delta is skipped before any family is built
+            if a == z or (a * a + 4) % p:
                 continue
             other = TrinomialFamily(p, a, -1)
-            # only delta = +p y^2 can give C_p : C_{p-1}
             if cls.case_label(other).y_witness is None:
                 continue
             oc = cls.classify(other, **budget)

@@ -43,6 +43,26 @@ class TestIsPrime:
         assert is_prime(2**89 - 1)
         assert not is_prime((2**89 - 1) * (2**61 - 1))
 
+    @given(
+        st.one_of(
+            st.builds(
+                lambda x, y: sympy.nextprime(x) * sympy.nextprime(y),
+                st.integers(2**49, 2**50),
+                st.integers(2**49, 2**50),
+            ),
+            st.integers(2**89, 2**90).map(sympy.nextprime),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_witnesses_match_the_eager_list(self, n):
+        # Above the proven bound the 64 input-seeded witnesses are drawn
+        # one at a time; the verdict must equal that of all 64 drawn first.
+        assert n > arith._DETERMINISTIC_BOUND
+        rng = random.Random(n)
+        witnesses = [rng.randrange(2, n - 1) for _ in range(arith._LARGE_ROUNDS)]
+        expected = not any(arith._miller_rabin_witness(n, a) for a in witnesses)
+        assert is_prime(n) == expected
+
     @pytest.mark.parametrize("n", [0, 4, 561, 1729, 2047, 3215031751])
     def test_known_composites(self, n):
         assert not is_prime(n)
@@ -165,19 +185,27 @@ def odd_d_factorize(n, trial_bound, rho_budget):
         add(n)
         return arith.FactoredInteger(sign, factors)
 
+    # rho's stage: each factor g it finds loses its whole power, one g at
+    # a time, and the rest is popped first, as in factorize.
     rng = random.Random(n)
-    stack = [n]
+    stack = [(n, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_prime(m):
-            add(m)
+            add(m, e)
             continue
         root = math.isqrt(m)
         if root * root == m:
-            stack.extend([root, root])
+            stack.append((root, 2 * e))
             continue
         g = arith._pollard_brent(m, rho_budget, rng)
-        stack.extend([g, m // g])
+        k = 0
+        while m % g == 0:
+            m //= g
+            k += 1
+        stack.append((g, k * e))
+        if m > 1:
+            stack.append((m, e))
     return arith.FactoredInteger(sign, factors)
 
 
@@ -193,10 +221,11 @@ _EXPONENTS = st.one_of(st.integers(1, 4), st.integers(100, 2500))
 def _trial_division_cases(draw):
     """(n, T): small prime powers, times optionally a prime in (T, T^2)
     that trial division leaves, times optionally a power of a prime
-    above T, times optionally two primes just above T, which rho splits
-    off into factors below d^2 for d the first untried candidate.  Primes
-    below 47 that trial division reaches may take large exponents; above
-    T they would only feed rho a huge cofactor."""
+    above T (exponent up to 13, as p is in a family discriminant), times
+    optionally two primes just above T, which rho splits off into factors
+    below d^2 for d the first untried candidate.  Primes below 47 that
+    trial division reaches may take large exponents; above T they would
+    only feed rho a huge cofactor."""
     t = draw(st.sampled_from(TRIAL_BOUNDS))
     n = draw(st.sampled_from([1, -1]))
     for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 47, 997]))):
@@ -207,7 +236,7 @@ def _trial_division_cases(draw):
         n *= sympy.nextprime(draw(st.integers(floor, floor * floor - 1)))
     if draw(st.booleans()):
         q = sympy.nextprime(draw(st.integers(floor, 10 * floor)))
-        n *= q ** draw(st.integers(1, 3))
+        n *= q ** draw(st.integers(1, 13))
     if draw(st.booleans()):
         for _ in range(2):
             n *= sympy.nextprime(draw(st.integers(floor, 2 * floor)))
@@ -254,6 +283,31 @@ class TestFactorize:
         assert factorize(n, trial_bound=t) == odd_d_factorize(
             n, t, arith.DEFAULT_RHO_BUDGET
         )
+
+    @pytest.mark.parametrize(
+        "n, factors, calls",
+        [
+            (1_000_003**13 * 3**5, {3: 5, 1_000_003: 13}, 1),
+            (100_019**13 * 3**5, {3: 5, 100_019: 13}, 1),
+            (1_000_003**7 * 7_368_787**5, {1_000_003: 7, 7_368_787: 5}, 2),
+        ],
+        ids=["1000003^13*3^5", "100019^13*3^5", "1000003^7*7368787^5"],
+    )
+    def test_rho_finds_each_repeated_factor_once(
+        self, n, factors, calls, monkeypatch
+    ):
+        # A factor rho finds loses its whole power at once, so a prime
+        # above the trial bound costs one rho call whatever its exponent.
+        pollard_brent = arith._pollard_brent
+        seen = []
+
+        def counting(m, budget, rng):
+            seen.append(m)
+            return pollard_brent(m, budget, rng)
+
+        monkeypatch.setattr(arith, "_pollard_brent", counting)
+        assert factorize(n).factors == factors
+        assert len(seen) == calls
 
     def test_threads_share_the_prime_table_safely(self, monkeypatch):
         # One thread keeps dropping the cached table while the others
