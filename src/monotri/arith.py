@@ -1,9 +1,10 @@
 """Arbitrary-precision integer primitives.
 
 Primality, bounded factorization, squarefree testing, valuations, exact
-square roots and the walk over the primes.  One sieve table, grown on
-demand, serves both trial division (the primes up to factorize's trial
-bound, before Pollard-Brent rho) and the walk.  That table is the
+square roots and the walk over the primes.  One sieve table serves both
+trial division (the primes up to factorize's trial bound, before
+Pollard-Brent rho) and the walk; a larger bound re-sieves it whole, to at
+least twice its old limit.  That table is the
 module's only state; it is replaced whole, never edited, so every
 function here is safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
@@ -122,27 +123,22 @@ def is_prime(n: int) -> bool:
 def _trial_primes(bound):
     """(table, k): the first k entries of table are the primes <= bound.
 
-    The table starts empty.  When a larger bound is asked for it grows, at
-    least doubling, in steps (limit, new] with new <= limit^2: each step is
-    sieved by the primes already held, which reach sqrt(new).  A smaller
-    bound reads a prefix.  The table is replaced whole, never edited, so a
-    reader holding an old one stays correct.
+    The table starts empty.  When a larger bound is asked for, one sieve of
+    Eratosthenes over [2, max(bound, 2 limit)] makes a new table, so it at
+    least doubles and the re-sieving costs O(bound log log bound) in all.
+    A smaller bound reads a prefix.  The table is replaced whole, never
+    edited, so a reader holding an old one stays correct.
     """
     global _trial_table
     limit, table = _trial_table
     if bound > limit:
-        if limit < 2:
-            limit, table = 2, [2]
-        while limit < bound:
-            new = min(max(bound, 2 * limit), limit * limit)
-            seg = bytearray([1]) * (new - limit)
-            for p in table:
-                if p * p > new:
-                    break
-                first = max(p * p, (limit // p + 1) * p)
-                seg[first - limit - 1 :: p] = bytes(len(range(first, new + 1, p)))
-            table = table + list(compress(range(limit + 1, new + 1), seg))
-            limit = new
+        limit = max(bound, 2 * limit)
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        table = list(compress(range(limit + 1), sieve))
         _trial_table = (limit, table)
     return table, bisect_right(table, bound)
 

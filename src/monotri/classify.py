@@ -161,20 +161,6 @@ def _dickson_pair(s: int, n: int, k: int, m: int = 0) -> tuple:
     return v, w
 
 
-def _ceil_root(n: int, k: int) -> int:
-    """Least integer r >= 0 with r^k >= n, for n >= 0 (Newton on ints)."""
-    if n <= 1:
-        return n
-    # 2^ceil(bits/k) is at least the floor root; Newton descends to it
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x**k == n else x + 1
-
-
 def family_is_irreducible(fam: TrinomialFamily) -> bool:
     """Exact irreducibility of f = g(x^p), g = x^2 + a x + b^p, over Q.
 
@@ -201,7 +187,8 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
         return False
     # |gamma| <= max(|beta|, |beta'|)^{1/p}, which bounds s = gamma + conj
     root_bound = (abs(a) + math.isqrt(abs(d)) + 2) // 2 + 1
-    s_bound = 2 * _ceil_root(root_bound, p) + 2
+    # 2^ceil(bits/p) > root_bound^(1/p); any upper bound gives one verdict
+    s_bound = 2 ** (1 + -(-root_bound.bit_length() // p)) + 2
 
     def newton(s, m):
         v, w = _dickson_pair(s, b, p, m)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import sys
@@ -229,7 +228,8 @@ SCAN_FIELDS = ["z", "p", "p_is_prime", "a", "b", "monogenic", "galois",
 
 def corollary_scan_rows(z_max: int, budget: dict):
     """One row per z; for prime p = z^2 + 4, classify (p, z, -1) and verify
-    both the claimed verdict and uniqueness of a."""
+    the claimed verdict.  That no other a in [1, isqrt(p)] gives the same
+    class follows from the lemma at `unique_a`, so no a is searched."""
     for z in range(1, z_max + 1):
         p = z * z + 4
         row = {"z": z, "p": p, "p_is_prime": arith.is_prime(p)}
@@ -244,32 +244,17 @@ def corollary_scan_rows(z_max: int, budget: dict):
             monogenic=c.monogenic,
             galois=c.galois.describe(p) if c.galois else None,
             galois_order=c.galois.order if c.galois else None,
+            # Only delta = a^2 + 4 = +p y^2 gives C_p : C_{p-1}, and a = z
+            # is the only a in [1, isqrt(p)] with p | a^2 + 4: for z >= 2,
+            # isqrt(p) = z and every other a has 0 < a^2 + 4 < p; for z = 1
+            # the only other a is 2, and 5 does not divide 8.
+            unique_a=True,
+            consistent=(
+                c.irreducible
+                and c.monogenic is True
+                and c.galois.kind is cls.GaloisKind.FROBENIUS_P_PMINUS1
+            ),
         )
-        expected = (
-            c.irreducible
-            and c.monogenic is True
-            and c.galois.kind is cls.GaloisKind.FROBENIUS_P_PMINUS1
-        )
-        # uniqueness: no other a in [1, isqrt(p)] gives a monogenic
-        # (p, a, -1) with the same Galois class
-        unique = True
-        for a in range(1, math.isqrt(p) + 1):
-            # only delta = a^2 + 4 = +p y^2 can give C_p : C_{p-1}, so an a
-            # with p not dividing delta is skipped before any family is built
-            if a == z or (a * a + 4) % p:
-                continue
-            other = TrinomialFamily(p, a, -1)
-            if cls.case_label(other).y_witness is None:
-                continue
-            oc = cls.classify(other, **budget)
-            if (
-                oc.irreducible
-                and oc.galois.kind is cls.GaloisKind.FROBENIUS_P_PMINUS1
-                and oc.monogenic
-            ):
-                unique = False
-        row["unique_a"] = unique
-        row["consistent"] = expected and unique
         yield row
 
 

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from itertools import count, dropwhile, islice
+from itertools import count, dropwhile, islice, takewhile
 
 import pytest
 import sympy
@@ -120,6 +120,17 @@ class TestIsPrime:
 # and grows the table several times.
 FIRST_30000 = list(islice(filter(is_prime, count(2)), 30_000))
 
+
+def _primes_by_trial_division(limit):
+    found = []
+    for n in range(2, limit + 1):
+        if all(n % q for q in takewhile(lambda q: q * q <= n, found)):
+            found.append(n)
+    return found
+
+
+PRIMES_TO_100000 = _primes_by_trial_division(100_000)
+
 # 1_000_003 * 1_000_033 has no factor below its square root of about
 # 10^6, so factoring it at trial bound 300,000 reads the whole table.
 _TABLE_GROWER = 1_000_003 * 1_000_033
@@ -155,6 +166,31 @@ class TestPrimes:
 
     def test_default_start(self):
         assert list(islice(primes(), 6)) == [2, 3, 5, 7, 11, 13]
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [2, 10, 100, 1000, 10_000, 50_000],
+            [50_000, 10_000, 1000, 100, 10, 2],
+            [3, 40_000, 7, 50_000, 2, 997, 49_999],
+        ],
+        ids=["increasing", "decreasing", "mixed"],
+    )
+    def test_table_after_growth_in_any_order(self, bounds, monkeypatch):
+        # Each growth re-sieves the whole table; whatever the order of the
+        # bounds, it must hold exactly the primes up to its limit, and a
+        # table a caller already holds must not change under it.
+        monkeypatch.setattr(arith, "_trial_table", (1, []))
+        held = []
+        for bound in bounds:
+            table, k = arith._trial_primes(bound)
+            assert table[:k] == [q for q in PRIMES_TO_100000 if q <= bound]
+            held.append((table, list(table)))
+        limit, table = arith._trial_table
+        assert 50_000 <= limit <= 100_000
+        assert table == [q for q in PRIMES_TO_100000 if q <= limit]
+        assert all(old == copy for old, copy in held)
+        assert list(islice(primes(), 5000)) == PRIMES_TO_100000[:5000]
 
 
 def odd_d_factorize(n, trial_bound, rho_budget):

@@ -12,7 +12,6 @@ from monotri.classify import (
     GaloisKind,
     TrinomialFamily,
     UnsupportedB,
-    _ceil_root,
     _dickson_trace,
     case_label,
     classify,
@@ -103,10 +102,29 @@ class TestDicksonTrace:
         assert _dickson_trace(s, n, k, m) == _dickson_trace(s, n, k) % m
 
 
+def pow2_root_bound(n, p):
+    """2^ceil(bits/p), with bits = n.bit_length(): at least n^(1/p)."""
+    return 1 << -(-n.bit_length() // p)
+
+
 def s_bound(fam):
     """The bound S on |trace gamma| that `family_is_irreducible` uses."""
     root_bound = (abs(fam.a) + math.isqrt(abs(delta(fam))) + 2) // 2 + 1
-    return 2 * _ceil_root(root_bound, fam.p) + 2
+    return 2 * pow2_root_bound(root_bound, fam.p) + 2
+
+
+def least_root(n, p):
+    """Least r >= 0 with r^p >= n: doubling, then bisection on the integers."""
+    lo, hi = 0, 1
+    while hi**p < n:
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**p >= n:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def scan_is_irreducible(fam):
@@ -153,11 +171,20 @@ class TestIrreducibility:
         assert family_is_irreducible(TrinomialFamily(9413, 97, -1))
 
     def test_a_above_float_range(self):
-        # the s-scan bound is an integer p-th root: |a| > 1e308 must not
-        # overflow a float
+        # the s-scan bound comes from a bit length, not a float root:
+        # |a| > 1e308 must not overflow a float
         fam = TrinomialFamily(1009, 10**400 + 1, 1)
         assert family_is_irreducible(fam)
         assert galois_group(fam).kind is GaloisKind.FULL_TIMES_C2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 2003), st.integers(2, 10**400))
+    def test_pow2_bound_covers_the_exact_root(self, p, root_bound):
+        # Any upper bound on root_bound^(1/p) gives the same verdict; this
+        # one is at most twice the exact root, so the lift gains at most
+        # one bit.
+        r = least_root(root_bound, p)
+        assert r <= pow2_root_bound(root_bound, p) <= 2 * r
 
     @settings(max_examples=300, deadline=None)
     @given(

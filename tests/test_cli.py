@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -227,6 +228,15 @@ class TestCorollaryScan:
                 assert r["consistent"] is True
                 assert r["unique_a"] is True
                 assert r["galois"] == f"C{r['p']}:C{r['p'] - 1}"
+
+    def test_z_is_the_only_a_with_p_dividing_a2_plus_4(self):
+        # The lemma behind unique_a, checked by brute force without
+        # classify: in [1, isqrt(z^2 + 4)], only a = z has
+        # (z^2 + 4) | (a^2 + 4).
+        for z in range(1, 10**4 + 1):
+            p = z * z + 4
+            window = range(1, math.isqrt(p) + 1)
+            assert [a for a in window if (a * a + 4) % p == 0] == [z], z
 
     def test_contradiction_exits_3(self, capsys, monkeypatch):
         # the last prime row (z = 5, p = 29) turns Unknown and the others
