@@ -10,7 +10,9 @@ function here is safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
 divisions, not e; each factor Pollard-Brent rho splits off loses its whole
 power the same way, so a repeated factor costs one rho call, not one per
-copy.
+copy.  A perfect power r^k past trial division goes on as r, found by
+exact k-th roots (Bernstein, Math. Comp. 67, 1998), before is_prime or
+rho sees it.
 """
 
 from __future__ import annotations
@@ -261,6 +263,28 @@ def _divide_out(n, p):
     return m, 2 * e + 2
 
 
+def _perfect_power(m, k_max):
+    """(r, k) with r**k == m >= 2 for the least prime k <= k_max that has
+    one, else (m, 1).  Each k-th root is Newton's integer step from 2^a,
+    a = log2(m)/k in floats raised past their rounding error: from above
+    the root, the step falls to its floor and stops there."""
+    s = max(m.bit_length() - 64, 0)
+    log_m = math.log2((m >> s) + 1) + s  # >= log2(m), to rounding
+    table, count = _trial_primes(k_max)
+    for k in islice(table, count):
+        a = log_m / k * (1 + 2**-40)
+        shift = max(int(a) - 52, 0)
+        x = (int(2.0 ** (a - shift)) + 1) << shift
+        while True:
+            y = ((k - 1) * x + m // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == m:
+            return x, k
+    return m, 1
+
+
 def factorize(
     n: int,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
@@ -273,12 +297,14 @@ def factorize(
     left; a prime that divides has its whole power removed at once by
     _divide_out.  Every prime factor of what is left is >= d, the next
     untried candidate, so it, and each factor rho splits off it, is prime
-    if it is below d*d or passes is_prime.  Pollard-Brent rho runs with an
-    iteration budget; budget exhaustion raises rather than guessing.  The
-    rho stage keeps (cofactor, multiplicity) pairs: a factor g that rho
-    finds has its whole power divided out at once, and a perfect square
-    goes on as its root with twice the multiplicity: a repeated factor
-    takes one rho call, not one per copy.
+    if it is below d*d.  Pollard-Brent rho runs with an iteration budget;
+    budget exhaustion raises rather than guessing.  The rho stage keeps
+    (cofactor, multiplicity) pairs.  A cofactor m >= d*d that is r^k for
+    a prime k <= log m / log d goes on as r with k times the multiplicity,
+    before is_prime; one that passes is_prime is prime; rho splits the
+    rest, and a factor g that it finds has its whole power divided out at
+    once.  So a repeated factor takes at most one rho call, and a power
+    of a prime none.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -311,12 +337,16 @@ def factorize(
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, e = stack.pop()
-        if m < d * d or is_prime(m):
+        if m < d * d:
             add(m, e)
             continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.append((root, 2 * e))
+        # m = r^k has r >= d, so d^k <= m bounds k.
+        root, k = _perfect_power(m, (m.bit_length() - 1) // (d.bit_length() - 1))
+        if k > 1:
+            stack.append((root, k * e))
+            continue
+        if is_prime(m):
+            add(m, e)
             continue
         rng = rng or random.Random(n)
         g = _pollard_brent(m, rho_budget, rng)

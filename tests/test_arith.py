@@ -193,6 +193,29 @@ class TestPrimes:
         assert list(islice(primes(), 5000)) == PRIMES_TO_100000[:5000]
 
 
+def root_by_bisection(m, k):
+    """floor(m^(1/k)) for m >= 1, by bisection on [1, 2^(bits/k + 1))."""
+    lo, hi = 1, 1 << (m.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def least_power(m, k_max):
+    """(r, k) with r^k == m for the least k in [2, k_max] that has one,
+    trying every k, else (m, 1): the oracle for arith._perfect_power,
+    which tries only primes (the least k that hits is prime)."""
+    for k in range(2, k_max + 1):
+        r = root_by_bisection(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 def odd_d_factorize(n, trial_bound, rho_budget):
     """factorize by trial division over every odd d: the oracle for the
     prime-table loop, which must try the same primes, pass on the same
@@ -221,8 +244,10 @@ def odd_d_factorize(n, trial_bound, rho_budget):
         add(n)
         return arith.FactoredInteger(sign, factors)
 
-    # rho's stage: each factor g it finds loses its whole power, one g at
-    # a time, and the rest is popped first, as in factorize.
+    # rho's stage: a perfect power m = r^k goes on as r, for the least k
+    # that has an exact root; each factor g rho finds loses its whole
+    # power, one g at a time, and the rest is popped first, as in
+    # factorize.
     rng = random.Random(n)
     stack = [(n, 1)]
     while stack:
@@ -230,9 +255,9 @@ def odd_d_factorize(n, trial_bound, rho_budget):
         if is_prime(m):
             add(m, e)
             continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.append((root, 2 * e))
+        root, k = least_power(m, m.bit_length())
+        if k > 1:
+            stack.append((root, k * e))
             continue
         g = arith._pollard_brent(m, rho_budget, rng)
         k = 0
@@ -323,17 +348,28 @@ class TestFactorize:
     @pytest.mark.parametrize(
         "n, factors, calls",
         [
-            (1_000_003**13 * 3**5, {3: 5, 1_000_003: 13}, 1),
-            (100_019**13 * 3**5, {3: 5, 100_019: 13}, 1),
-            (1_000_003**7 * 7_368_787**5, {1_000_003: 7, 7_368_787: 5}, 2),
+            (1_000_003**13 * 3**5, {3: 5, 1_000_003: 13}, 0),
+            (100_019**13 * 3**5, {3: 5, 100_019: 13}, 0),
+            (1_000_003**7 * 7_368_787**5, {1_000_003: 7, 7_368_787: 5}, 1),
+            (
+                (1_000_003 * 7_368_787) ** 13,
+                {1_000_003: 13, 7_368_787: 13},
+                1,
+            ),
         ],
-        ids=["1000003^13*3^5", "100019^13*3^5", "1000003^7*7368787^5"],
+        ids=[
+            "1000003^13*3^5",
+            "100019^13*3^5",
+            "1000003^7*7368787^5",
+            "(1000003*7368787)^13",
+        ],
     )
     def test_rho_finds_each_repeated_factor_once(
         self, n, factors, calls, monkeypatch
     ):
-        # A factor rho finds loses its whole power at once, so a prime
-        # above the trial bound costs one rho call whatever its exponent.
+        # A perfect power goes on as its root without rho, and a factor
+        # rho finds loses its whole power at once, so a prime above the
+        # trial bound costs at most one rho call whatever its exponent.
         pollard_brent = arith._pollard_brent
         seen = []
 
@@ -344,6 +380,17 @@ class TestFactorize:
         monkeypatch.setattr(arith, "_pollard_brent", counting)
         assert factorize(n).factors == factors
         assert len(seen) == calls
+
+    @given(
+        st.integers(10**5, 10**12).map(sympy.nextprime),
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_a_power_comes_apart(self, r, k1, k2):
+        # r^(k1 k2) is (r^k1)^k2: the least prime exponent is taken off
+        # first and the other in a second root step.
+        assert factorize(r ** (k1 * k2)).factors == {r: k1 * k2}
 
     def test_threads_share_the_prime_table_safely(self, monkeypatch):
         # One thread keeps dropping the cached table while the others
@@ -446,6 +493,47 @@ class TestFactorize:
     def test_squarefree_matches_exponents(self, n):
         f = factorize(n)
         assert is_squarefree(n) == all(e == 1 for e in f.factors.values())
+
+
+_PRIMES_TO_61 = [q for q in PRIMES_TO_100000 if q <= 61]
+
+
+class TestPerfectPower:
+    @given(
+        st.integers(2, 10**40),
+        st.sampled_from(_PRIMES_TO_61),
+        st.sampled_from([0, 1, -1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, r, k, offset):
+        m = r**k + offset
+        assert arith._perfect_power(m, 61) == least_power(m, 61)
+        if offset == 0 and least_power(r, 61)[1] == 1:
+            assert arith._perfect_power(m, 61) == (r, k)
+        # By Mihailescu's theorem 8 and 9 are the only perfect powers
+        # that differ by 1.
+        if offset and m not in (8, 9):
+            assert arith._perfect_power(m, 61) == (m, 1)
+
+    @given(st.integers(2, 10**40), st.sampled_from(_PRIMES_TO_61))
+    @settings(max_examples=100, deadline=None)
+    def test_every_prime_up_to_the_bit_length(self, r, k):
+        # k_max = bits is past every exponent m can have.
+        m = r**k
+        root, j = arith._perfect_power(m, m.bit_length())
+        assert root**j == m and j <= k
+        if least_power(r, 61)[1] == 1:
+            assert (root, j) == (r, k)
+
+    @given(
+        st.integers(2, 10**20).map(sympy.nextprime),
+        st.integers(2, 10**20).map(sympy.nextprime),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_distinct_primes_are_no_power(self, p, q):
+        if p != q:
+            m = p * q
+            assert arith._perfect_power(m, m.bit_length()) == (m, 1)
 
 
 class TestValuation:
