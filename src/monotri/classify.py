@@ -78,9 +78,19 @@ class CaseLabel:
 
 
 class GaloisKind(Enum):
+    """The group (C_p : C_d) x C_2^e, a complement order d and a C_2 flag."""
+
     FROBENIUS_P_PMINUS1 = "Frobenius_p_pminus1"  # C_p : C_{p-1}
     HALF_TIMES_C2 = "Half_times_C2"  # (C_p : C_{(p-1)/2}) x C_2
     FULL_TIMES_C2 = "Full_times_C2"  # (C_p : C_{p-1}) x C_2
+
+    def complement(self, p: int) -> int:
+        """Order d of the complement C_d, acting freely on C_p."""
+        return (p - 1) // 2 if self is GaloisKind.HALF_TIMES_C2 else p - 1
+
+    @property
+    def times_c2(self) -> bool:
+        return self is not GaloisKind.FROBENIUS_P_PMINUS1
 
 
 @dataclass(frozen=True)
@@ -90,16 +100,11 @@ class GaloisClass:
 
     @staticmethod
     def for_kind(kind: GaloisKind, p: int) -> "GaloisClass":
-        if kind is GaloisKind.FULL_TIMES_C2:
-            return GaloisClass(kind, 2 * p * (p - 1))
-        return GaloisClass(kind, p * (p - 1))
+        return GaloisClass(kind, p * kind.complement(p) * (1 + kind.times_c2))
 
     def describe(self, p: int) -> str:
-        if self.kind is GaloisKind.FROBENIUS_P_PMINUS1:
-            return f"C{p}:C{p - 1}"
-        if self.kind is GaloisKind.HALF_TIMES_C2:
-            return f"(C{p}:C{(p - 1) // 2})xC2"
-        return f"(C{p}:C{p - 1})xC2"
+        base = f"C{p}:C{self.kind.complement(p)}"
+        return f"({base})xC2" if self.kind.times_c2 else base
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,12 @@ class Classification:
     case: CaseLabel | None
     galois: GaloisClass | None
     monogenic: bool | None  # None = unknown (budget) or reducible
-    field_discriminant: int | None
     reason: tuple  # ordered tuple of applied-rule strings
+
+    @property
+    def field_discriminant(self) -> int | None:
+        """disc(f) is the field discriminant exactly when f is monogenic."""
+        return self.disc_f if self.monogenic else None
 
 
 def delta(fam: TrinomialFamily) -> int:
@@ -255,25 +264,20 @@ def _squarefree_reasons(a: int, b: int, **budget):
     """Per-factor squarefree/parity analysis behind quadratic monogenicity.
 
     Returns (verdict, reasons).  For b=1 the squarefree requirement on
-    W = (a^2-4)/gcd(a,2)^2 splits into its two near-coprime factors, which
-    gives sharper failure messages.
+    W = (a^2-4)/gcd(a,2)^2 splits into (a-2)/g and (a+2)/g, g = gcd(a,2),
+    which gives sharper failure messages.  Past the parity test both are
+    odd, nonzero and coprime.
     """
-    reasons = []
     if b == 1:
-        if a % 2 == 0 and a % 4 != 0:
+        if a % 4 == 2:
             return False, ["2|a but 4∤a forbidden for b=1"]
-        lo, hi = (a - 2, a + 2) if a % 2 else ((a - 2) // 2, (a + 2) // 2)
-        ok = True
-        for v, name in ((lo, "a-2"), (hi, "a+2")):
-            shown = a - 2 if name == "a-2" else a + 2
-            if v == 0:
-                return False, [f"{name}={shown} is zero"]
-            if not arith.is_squarefree(v, **budget):
-                reasons.append(f"{name}={shown} not squarefree")
-                ok = False
-        if ok:
-            reasons.append("a-2 and a+2 squarefree")
-        return ok, reasons
+        g = math.gcd(a, 2)
+        reasons = [
+            f"a{k:+d}={a + k} not squarefree"
+            for k in (-2, 2)
+            if not arith.is_squarefree((a + k) // g, **budget)
+        ]
+        return not reasons, reasons or ["a-2 and a+2 squarefree"]
     # b = -1
     if a % 4 == 0:
         return False, ["4|a forbidden for b=-1"]
@@ -378,9 +382,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
             reason = "delta is a perfect square: g reducible"
         else:
             reason = "root of g is a p-th power: f reducible"
-        return Classification(
-            fam, d, t.disc, False, case, None, None, None, (reason,)
-        )
+        return Classification(fam, d, t.disc, False, case, None, None, (reason,))
 
     galois = GaloisClass.for_kind(_galois_kind(fam.p, d), fam.p)
     reasons = [] if case is None else [f"case={case.kind.value}"]
@@ -400,9 +402,8 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
         monogenic = None
         reasons.append(f"unknown: {exc}")
 
-    field_disc = t.disc if monogenic else None
     return Classification(
-        fam, d, t.disc, True, case, galois, monogenic, field_disc, tuple(reasons)
+        fam, d, t.disc, True, case, galois, monogenic, tuple(reasons)
     )
 
 
@@ -422,10 +423,8 @@ def exceptional_sets(p_max: int, a_max: int, **budget):
                 continue
             for b in (-1, 1):
                 fam = TrinomialFamily(p, a, b)
-                if delta(fam) % p != 0:
-                    continue
                 # only the delta = +-p y^2 cases have finite exceptional sets
-                if case_label(fam).y_witness is None:
+                if _p_square_part(p, delta(fam)) is None:
                     continue
                 c = classify(fam, **budget)
                 if c.irreducible and c.monogenic:

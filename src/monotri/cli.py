@@ -289,8 +289,8 @@ def crosscheck_corpus(size: int, seed: int):
         A = rng.choice(coeffs)
         B = rng.choice(coeffs)
         t = GeneralTrinomial(n, m, A, B)
-        # irreducible implies separable, so this also rejects disc == 0
-        if poly.is_irreducible_over_Q(t.polynomial()):
+        # B != 0, so a repeated root (disc = 0) is exactly a zero resolvent
+        if indexcheck._resolvent(t) and poly.is_irreducible_over_Q(t.polynomial()):
             out.append(t)
     return out
 

@@ -72,19 +72,15 @@ def _divisors(n: int):
     return {*small, *(n // d for d in small)}
 
 
-def _frobenius_group_orders(p: int, d: int):
-    """Element orders of C_p : C_d with the complement acting freely."""
-    return {p} | _divisors(d)
-
-
 def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
-    """Exact element-order set of the claimed group."""
-    if kind is GaloisKind.FROBENIUS_P_PMINUS1:
-        orders = _frobenius_group_orders(p, p - 1)
-    else:
-        d = (p - 1) // 2 if kind is GaloisKind.HALF_TIMES_C2 else p - 1
-        base = _frobenius_group_orders(p, d)
-        orders = {math.lcm(o, e) for o in base for e in (1, 2)}
+    """Exact element-order set of the claimed group.
+
+    In C_p : C_d with the complement acting freely the orders are p and
+    the divisors of d; a factor C_2 adds their lcms with 2.
+    """
+    orders = {p} | _divisors(kind.complement(p))
+    if kind.times_c2:
+        orders |= {math.lcm(o, 2) for o in orders}
     return OrderSpectrum(kind, p, frozenset(orders))
 
 

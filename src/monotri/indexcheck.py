@@ -75,15 +75,15 @@ class GeneralTrinomial:
         # cached_property writes __dict__ directly, so frozen is no obstacle
         return swan_general_discriminant(self)
 
-    @property
+    @cached_property
     def d0(self) -> int:
         return math.gcd(self.n, self.m)
 
-    @property
+    @cached_property
     def n1(self) -> int:
         return self.n // self.d0
 
-    @property
+    @cached_property
     def m1(self) -> int:
         return self.m // self.d0
 
@@ -96,6 +96,14 @@ class IndexVerdict:
     detail: str
 
 
+def _resolvent(t: GeneralTrinomial) -> int:
+    """R = n1^{n1} B^{n1-m1} - (-1)^{n1} (n1-m1)^{n1-m1} m1^{m1} A^{n1}."""
+    n1, m1 = t.n1, t.m1
+    return n1**n1 * t.B ** (n1 - m1) - (-1) ** n1 * (n1 - m1) ** (n1 - m1) * (
+        m1**m1 * t.A**n1
+    )
+
+
 def swan_general_discriminant(t: GeneralTrinomial) -> int:
     """Exact discriminant of x^n + A x^m + B by Swan's closed form.
 
@@ -104,13 +112,12 @@ def swan_general_discriminant(t: GeneralTrinomial) -> int:
 
         (-1)^{n(n-1)/2} B^{m-1}
             [n^{n1} B^{n1-m1} - (-1)^{n1} (n-m)^{n1-m1} m^{m1} A^{n1}]^{d0}
+
+    The bracket, Swan's core, is d0^{n1} times `_resolvent`.
     """
-    n, m, A, B = t.n, t.m, t.A, t.B
-    n1, m1 = t.n1, t.m1
-    core = n**n1 * B ** (n1 - m1) - (-1) ** n1 * (n - m) ** (n1 - m1) * (
-        m**m1 * A**n1
-    )
-    return (-1) ** (n * (n - 1) // 2) * B ** (m - 1) * core**t.d0
+    n, m, d0 = t.n, t.m, t.d0
+    core = d0**t.n1 * _resolvent(t)
+    return (-1) ** (n * (n - 1) // 2) * t.B ** (m - 1) * core**d0
 
 
 def _build_h2(A: int, B: int, s: int, Q: int, q: int) -> list:
@@ -209,10 +216,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {deg}"
         return IndexVerdict(q, not free, "iv", detail)
 
-    crit = B ** (n1 - m1) * n1**n1 - (-1) ** m1 * A**n1 * m1**m1 * (
-        m1 - n1
-    ) ** (n1 - m1)
-    free = crit % (q * q) != 0
+    free = _resolvent(t) % (q * q) != 0
     detail = f"(v): q∤ABm; q^2 {'not ' if free else ''}dividing the resolvent"
     return IndexVerdict(q, not free, "v", detail)
 
@@ -249,8 +253,12 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
 
 @dataclass(frozen=True)
 class MonogenicityReport:
-    monogenic: bool
     checks: tuple  # of IndexVerdict, one per prime with q^2 | disc
+
+    @property
+    def monogenic(self) -> bool:
+        """No checked prime divides the index."""
+        return not any(v.divides_index for v in self.checks)
 
 
 def trinomial_is_monogenic(t: GeneralTrinomial, **budget) -> MonogenicityReport:
@@ -264,13 +272,6 @@ def trinomial_is_monogenic(t: GeneralTrinomial, **budget) -> MonogenicityReport:
     if t.disc == 0:
         raise Reducible("zero discriminant: repeated roots")
     fac = arith.factorize(t.disc, **budget)
-    checks = []
-    monogenic = True
-    for q in sorted(fac.factors):
-        if fac.factors[q] < 2:
-            continue
-        verdict = jks_index_free(t, q)
-        checks.append(verdict)
-        if verdict.divides_index:
-            monogenic = False
-    return MonogenicityReport(monogenic, tuple(checks))
+    return MonogenicityReport(tuple(
+        jks_index_free(t, q) for q in sorted(fac.factors) if fac.factors[q] >= 2
+    ))

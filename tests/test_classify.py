@@ -13,6 +13,7 @@ from monotri.classify import (
     TrinomialFamily,
     UnsupportedB,
     _dickson_trace,
+    _squarefree_reasons,
     case_label,
     classify,
     delta,
@@ -372,6 +373,23 @@ class TestKkrMonogenic:
         ok, reasons = kkr_monogenic(TrinomialFamily(3, 7, 1))
         assert not ok
         assert any("a+2=9 not squarefree" in r for r in reasons)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (5, 1, (True, ["a-2 and a+2 squarefree"])),
+            (7, 1, (False, ["a+2=9 not squarefree"])),
+            (-7, 1, (False, ["a-2=-9 not squarefree"])),
+            (20, 1, (False, ["a-2=18 not squarefree"])),
+            (52, 1, (False, ["a-2=50 not squarefree", "a+2=54 not squarefree"])),
+            (6, 1, (False, ["2|a but 4∤a forbidden for b=1"])),
+            (4, -1, (False, ["4|a forbidden for b=-1"])),
+            (6, -1, (True, ["W=10 squarefree"])),
+            (11, -1, (False, ["W=(a^2+4)/gcd(a,2)^2=125 not squarefree"])),
+        ],
+    )
+    def test_squarefree_reasons_exact(self, a, b, expected):
+        assert _squarefree_reasons(a, b) == expected
 
     def test_reducible_rejected(self):
         with pytest.raises(Reducible):

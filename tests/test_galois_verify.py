@@ -52,6 +52,52 @@ class TestElementOrderSpectrum:
                 s = element_order_spectrum(kind, p)
                 assert all(g.order % o == 0 for o in s.orders)
 
+    # complement order d and whether a factor C_2 is present, per the paper
+    PAPER_GROUPS = {
+        GaloisKind.FROBENIUS_P_PMINUS1: (lambda p: p - 1, False),
+        GaloisKind.HALF_TIMES_C2: (lambda p: (p - 1) // 2, True),
+        GaloisKind.FULL_TIMES_C2: (lambda p: p - 1, True),
+    }
+
+    @staticmethod
+    def _affine_group(p: int, d: int, times_c2: bool):
+        """C_p : C_d as the maps x -> u x + v over F_p with u^d = 1, each
+        paired with an element e of C_2 = Z/2 when times_c2; returns
+        {element: order}, each order found by composing until the identity."""
+        units = [u for u in range(1, p) if pow(u, d, p) == 1]
+        assert len(units) == d
+        elements = [
+            (u, v, e)
+            for u in units
+            for v in range(p)
+            for e in ((0, 1) if times_c2 else (0,))
+        ]
+
+        def compose(x, y):
+            # x after y: u1 (u2 t + v2) + v1, and addition in Z/2
+            return x[0] * y[0] % p, (x[0] * y[1] + x[1]) % p, (x[2] + y[2]) % 2
+
+        orders = {}
+        for g in elements:
+            power, k = g, 1
+            while power != (1, 0, 0):
+                power, k = compose(g, power), k + 1
+            orders[g] = k
+        return orders
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("kind", list(GaloisKind))
+    def test_group_matches_affine_oracle(self, kind, p):
+        complement, times_c2 = self.PAPER_GROUPS[kind]
+        d = complement(p)
+        orders = self._affine_group(p, d, times_c2)
+        claimed = GaloisClass.for_kind(kind, p)
+        assert claimed.order == len(orders)
+        assert element_order_spectrum(kind, p).orders == set(orders.values())
+        name = claimed.describe(p)
+        assert f"C{p}:C{d}" in name
+        assert name.endswith("xC2") == times_c2
+
 
 def _frobenius_pattern(p: int, a: int, c: int, d: int, ell: int):
     """Sorted factor degrees of x^{2p} + a x^p + c mod ell, for ell prime

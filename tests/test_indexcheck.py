@@ -14,6 +14,7 @@ from monotri.indexcheck import (
     NotADiscriminantPrime,
     Reducible,
     _build_h2,
+    _resolvent,
     dedekind_divides_index,
     jks_index_free,
     swan_general_discriminant,
@@ -78,6 +79,26 @@ class TestSwanGeneralDiscriminant:
             assert swan_general_discriminant(t) == poly.discriminant(
                 t.polynomial()
             )
+
+    @given(
+        st.integers(2, 30),
+        st.data(),
+        st.integers(-50, 50).filter(bool),
+        st.integers(-50, 50).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_resolvent_is_core_and_branch_v_criterion(self, n, data, A, B):
+        m = data.draw(st.integers(1, n - 1))
+        t = GeneralTrinomial(n, m, A, B)
+        d0, n1, m1 = t.d0, t.n1, t.m1
+        swan_core = n**n1 * B ** (n1 - m1) - (-1) ** n1 * (n - m) ** (
+            n1 - m1
+        ) * m**m1 * A**n1
+        jks_v = B ** (n1 - m1) * n1**n1 - (-1) ** m1 * A**n1 * m1**m1 * (
+            m1 - n1
+        ) ** (n1 - m1)
+        assert swan_core == d0**n1 * _resolvent(t)
+        assert jks_v == _resolvent(t)
 
 
 class TestDiscProperty:
