@@ -4,9 +4,11 @@ Everything specific to this two-parameter family lives here: the quantity
 delta = a^2 - 4 b^p, the Galois-group split on the sign pattern of delta,
 the case ledger (delta = +-p y^2 or neither), quadratic monogenicity, the
 composed-polynomial monogenicity test, and the full verdict with a
-structured reason trace.  `classify` builds f once as a GeneralTrinomial and
-takes the discriminant from it; the paper's closed form `swan_disc_f` is the
-tests' reference for that value.
+structured reason trace.  A `TrinomialFamily` is the one record of a
+family's facts: it holds f as a GeneralTrinomial (whose discriminant is
+cached), delta, its +-p y^2 split and the irreducibility verdict, each
+computed once however many verdicts read it.  The paper's closed form
+`swan_disc_f` is the tests' reference for the discriminant.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import arith, indexcheck
 from .arith import FactorizationBudgetExceeded
 from .indexcheck import GeneralTrinomial, Reducible
-from .poly import IntPolynomial, _lift_root, trinomial
+from .poly import _lift_root
 
 __all__ = [
     "TrinomialFamily",
@@ -28,9 +31,7 @@ __all__ = [
     "GaloisClass",
     "Classification",
     "UnsupportedB",
-    "delta",
     "swan_disc_f",
-    "family_polynomial",
     "family_is_irreducible",
     "galois_group",
     "case_label",
@@ -49,7 +50,12 @@ class UnsupportedB(ValueError):
 
 @dataclass(frozen=True)
 class TrinomialFamily:
-    """The triple (p, a, b) defining x^{2p} + a x^p + b^p."""
+    """The triple (p, a, b) defining f = x^{2p} + a x^p + b^p.
+
+    Its properties are the facts every verdict reads.  `trinomial` and
+    `irreducible` are cached (outside eq, hash and repr); `delta` and
+    `p_split` are cheap and recomputed.
+    """
 
     p: int
     a: int
@@ -60,6 +66,30 @@ class TrinomialFamily:
             raise ValueError("p must be an odd prime >= 3")
         if self.a == 0 or self.b == 0:
             raise ValueError("need a*b != 0")
+
+    @cached_property
+    def trinomial(self) -> GeneralTrinomial:
+        """f as the general trinomial x^{2p} + a x^p + b^p."""
+        return GeneralTrinomial(2 * self.p, self.p, self.a, self.b**self.p)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return family_is_irreducible(self)
+
+    @property
+    def delta(self) -> int:
+        """a^2 - 4 b^p."""
+        return self.a * self.a - 4 * self.trinomial.B
+
+    @property
+    def p_split(self):
+        """(sign, y) with delta = sign p y^2 and y >= 0, or None."""
+        d = self.delta
+        if d % self.p:
+            return None
+        sign = 1 if d >= 0 else -1
+        y = arith.exact_square_root(sign * d // self.p)
+        return None if y is None else (sign, y)
 
 
 class CaseKind(Enum):
@@ -124,15 +154,6 @@ class Classification:
         return self.disc_f if self.monogenic else None
 
 
-def delta(fam: TrinomialFamily) -> int:
-    """a^2 - 4 b^p."""
-    return fam.a * fam.a - 4 * fam.b**fam.p
-
-
-def family_polynomial(fam: TrinomialFamily) -> IntPolynomial:
-    return trinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p)
-
-
 def swan_disc_f(fam: TrinomialFamily) -> int:
     """Closed-form discriminant b^{p(p-1)} p^{2p} (a^2 - 4 b^p)^p.
 
@@ -140,7 +161,7 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
     which `classify` reads through `GeneralTrinomial.disc`.
     """
     p, b = fam.p, fam.b
-    return b ** (p * (p - 1)) * p ** (2 * p) * delta(fam) ** p
+    return b ** (p * (p - 1)) * p ** (2 * p) * fam.delta**p
 
 
 def _dickson_trace(s: int, n: int, k: int, m: int = 0) -> int:
@@ -190,9 +211,8 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     P'(s) = p U_p(s, b) = p (2 V_{p+1} - s V_p) / (s^2 - 4b): either
     failing forces a^2 = 4 b^p mod ell.
     """
-    p, a, b = fam.p, fam.a, fam.b
-    d = delta(fam)
-    if d == 0 or arith.exact_square_root(d) is not None:
+    p, a, b, d = fam.p, fam.a, fam.b, fam.delta
+    if arith.exact_square_root(d) is not None:
         return False
     # |gamma| <= max(|beta|, |beta'|)^{1/p}, which bounds s = gamma + conj
     root_bound = (abs(a) + math.isqrt(abs(d)) + 2) // 2 + 1
@@ -212,42 +232,29 @@ def family_is_irreducible(fam: TrinomialFamily) -> bool:
     return True
 
 
-def _p_square_part(p: int, d: int):
-    """(sign, y) with delta = d = sign p y^2 and y >= 0, or None."""
-    if d % p:
-        return None
-    sign = 1 if d >= 0 else -1
-    y = arith.exact_square_root(sign * d // p)
-    return None if y is None else (sign, y)
-
-
-def _galois_kind(p: int, d: int) -> GaloisKind:
-    """Galois kind of an irreducible family (so d != 0) from delta = d."""
-    split = _p_square_part(p, d)
-    if split is not None:
-        if p % 4 == 1 and split[0] > 0:
-            return GaloisKind.FROBENIUS_P_PMINUS1
-        if p % 4 == 3 and split[0] < 0:
-            return GaloisKind.HALF_TIMES_C2
-    return GaloisKind.FULL_TIMES_C2
-
-
 def galois_group(fam: TrinomialFamily) -> GaloisClass:
     """Galois class of f from the sign pattern of delta = +-p y^2."""
-    if not family_is_irreducible(fam):
+    if not fam.irreducible:
         raise Reducible(f"family {fam} is reducible over Q")
-    return GaloisClass.for_kind(_galois_kind(fam.p, delta(fam)), fam.p)
+    p, split = fam.p, fam.p_split
+    kind = GaloisKind.FULL_TIMES_C2
+    # irreducible, so delta != 0 and split[0] is its sign
+    if split is not None:
+        if p % 4 == 1 and split[0] > 0:
+            kind = GaloisKind.FROBENIUS_P_PMINUS1
+        elif p % 4 == 3 and split[0] < 0:
+            kind = GaloisKind.HALF_TIMES_C2
+    return GaloisClass.for_kind(kind, p)
 
 
 def case_label(fam: TrinomialFamily) -> CaseLabel:
     """Which of the delta = +-p y^2 / neither cases (p | delta), or p∤delta."""
-    p, b = fam.p, fam.b
-    d = delta(fam)
-    if d % p != 0:
+    b = fam.b
+    if fam.delta % fam.p != 0:
         return CaseLabel(CaseKind.P_NOT_DIVIDING_DELTA)
     if b not in (1, -1):
         raise UnsupportedB(f"case ledger needs b = +-1, got b={b}")
-    split = _p_square_part(p, d)
+    split = fam.p_split
     if split is None:
         return CaseLabel(CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1)
     # delta = 0 = p 0^2 (a degenerate, always-reducible family) is Gamma1
@@ -296,8 +303,7 @@ def quadratic_is_monogenic(a: int, b: int, **budget) -> bool:
     """
     if b not in (1, -1):
         raise ValueError("b must be +-1")
-    d = a * a - 4 * b
-    if d == 0 or arith.exact_square_root(d) is not None:
+    if arith.exact_square_root(a * a - 4 * b) is not None:
         raise Reducible(f"x^2+{a}x+{b} is reducible over Q")
     return _squarefree_reasons(a, b, **budget)[0]
 
@@ -308,23 +314,13 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
     Requires: g(0) = b^p squarefree (forces |b| = 1); the prime p does not
     divide the index of f; and g itself monogenic.  Returns (bool, reasons).
     """
-    if not family_is_irreducible(fam):
+    if not fam.irreducible:
         raise Reducible(f"family {fam} is reducible over Q")
-    return _kkr(fam, _trinomial(fam), **budget)
-
-
-def _trinomial(fam: TrinomialFamily) -> GeneralTrinomial:
-    """f as the general trinomial x^{2p} + a x^p + b^p."""
-    return GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p)
-
-
-def _kkr(fam: TrinomialFamily, t: GeneralTrinomial, **budget):
-    """kkr_monogenic for an irreducible family f = t."""
     p, a, b = fam.p, fam.a, fam.b
     if b not in (1, -1):
-        return False, [f"g(0)=b^p={b**p} not squarefree"]
+        return False, [f"g(0)=b^p={fam.trinomial.B} not squarefree"]
     reasons = ["g(0) squarefree"]
-    verdict = indexcheck.jks_index_free(t, p)
+    verdict = indexcheck.jks_index_free(fam.trinomial, p)
     if verdict.divides_index:
         reasons.append(f"p={p} divides the index ({verdict.detail})")
     else:
@@ -352,10 +348,10 @@ def theorem_item(case: CaseLabel, p: int) -> str:
     return "generic"
 
 
-def theorem_membership(fam: TrinomialFamily, case: CaseLabel, **budget) -> bool:
+def theorem_membership(fam: TrinomialFamily, **budget) -> bool:
     """Closed-form monogenicity membership test for p | delta families."""
     p, a, b = fam.p, fam.a, fam.b
-    item = theorem_item(case, p)
+    item = theorem_item(case_label(fam), p)
     if item == "item1":
         return (p, abs(a), b) == (5, 3, 1) or (b == -1 and a * a + 4 == p)
     if item == "item2":
@@ -371,30 +367,29 @@ def theorem_membership(fam: TrinomialFamily, case: CaseLabel, **budget) -> bool:
 def classify(fam: TrinomialFamily, **budget) -> Classification:
     """Full verdict for one family: irreducibility, case, Galois class,
     monogenicity and (when monogenic) the field discriminant."""
-    d = delta(fam)
-    t = _trinomial(fam)
+    d, disc = fam.delta, fam.trinomial.disc
     p_divides = d % fam.p == 0
     # a case label exists iff b = +-1 or p does not divide delta
     case = case_label(fam) if fam.b in (1, -1) or not p_divides else None
 
-    if not family_is_irreducible(fam):
-        if d == 0 or arith.exact_square_root(d) is not None:
+    if not fam.irreducible:
+        if arith.exact_square_root(d) is not None:
             reason = "delta is a perfect square: g reducible"
         else:
             reason = "root of g is a p-th power: f reducible"
-        return Classification(fam, d, t.disc, False, case, None, None, (reason,))
+        return Classification(fam, d, disc, False, case, None, None, (reason,))
 
-    galois = GaloisClass.for_kind(_galois_kind(fam.p, d), fam.p)
+    galois = galois_group(fam)
     reasons = [] if case is None else [f"case={case.kind.value}"]
     monogenic: bool | None
     try:
         if p_divides:
             if case is not None:
                 reasons.append(f"classification {theorem_item(case, fam.p)}")
-            monogenic, more = _kkr(fam, t, **budget)
+            monogenic, more = kkr_monogenic(fam, **budget)
         else:
             reasons.append("generic index scan (p does not divide delta)")
-            report = indexcheck.trinomial_is_monogenic(t, **budget)
+            report = indexcheck.trinomial_is_monogenic(fam.trinomial, **budget)
             monogenic = report.monogenic
             more = [f"q={v.q}: {v.detail}" for v in report.checks]
         reasons.extend(more)
@@ -403,7 +398,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
         reasons.append(f"unknown: {exc}")
 
     return Classification(
-        fam, d, t.disc, True, case, galois, monogenic, tuple(reasons)
+        fam, d, disc, True, case, galois, monogenic, tuple(reasons)
     )
 
 
@@ -424,7 +419,7 @@ def exceptional_sets(p_max: int, a_max: int, **budget):
             for b in (-1, 1):
                 fam = TrinomialFamily(p, a, b)
                 # only the delta = +-p y^2 cases have finite exceptional sets
-                if _p_square_part(p, delta(fam)) is None:
+                if fam.p_split is None:
                     continue
                 c = classify(fam, **budget)
                 if c.irreducible and c.monogenic:

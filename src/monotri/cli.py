@@ -206,7 +206,7 @@ def cmd_enumerate(args) -> int:
                 if b == 0:
                     continue
                 fam = TrinomialFamily(p, a, b)
-                if args.p_divides_delta and cls.delta(fam) % p != 0:
+                if args.p_divides_delta and fam.delta % p != 0:
                     continue
                 c = cls.classify(fam, **cfg.factor_budget())
                 # an Unknown verdict sets the exit code even when filtered
@@ -290,7 +290,7 @@ def crosscheck_corpus(size: int, seed: int):
         B = rng.choice(coeffs)
         t = GeneralTrinomial(n, m, A, B)
         # B != 0, so a repeated root (disc = 0) is exactly a zero resolvent
-        if indexcheck._resolvent(t) and poly.is_irreducible_over_Q(t.polynomial()):
+        if t.resolvent and poly.is_irreducible_over_Q(t.polynomial()):
             out.append(t)
     return out
 
@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant parameter; repeatable")
     s.add_argument("--monogenic-only", action="store_true")
     s.add_argument("--p-divides-delta", action="store_true")
-    s.add_argument("--case", help="filter by case label")
+    s.add_argument("--case", choices=[k.value for k in cls.CaseKind],
+                   help="filter by case label")
     _add_common(s)
     s.set_defaults(func=cmd_enumerate)
 

@@ -31,7 +31,6 @@ from .classify import (
     GaloisKind,
     TrinomialFamily,
     _dickson_trace,
-    delta,
     family_is_irreducible,
 )
 from .indexcheck import Reducible
@@ -117,7 +116,7 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
         raise ValueError("prime_budget must be positive")
     if not family_is_irreducible(fam):
         raise Reducible(f"family {fam} is reducible over Q")
-    p, a, c, d = fam.p, fam.a, fam.b**fam.p, delta(fam)
+    p, a, c, d = fam.p, fam.a, fam.trinomial.B, fam.delta
     ramified = p * fam.b * d
     divisors = sorted(_divisors(p - 1))
     order_of: dict[int, int] = {}  # r = Q mod p, r != 1 -> ord_p(r)

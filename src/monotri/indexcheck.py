@@ -87,6 +87,12 @@ class GeneralTrinomial:
     def m1(self) -> int:
         return self.m // self.d0
 
+    @cached_property
+    def resolvent(self) -> int:
+        """R = n1^{n1} B^{n1-m1} - (-1)^{n1} (n1-m1)^{n1-m1} m1^{m1} A^{n1}."""
+        n1, m1, k = self.n1, self.m1, self.n1 - self.m1
+        return n1**n1 * self.B**k - (-1) ** n1 * k**k * m1**m1 * self.A**n1
+
 
 @dataclass(frozen=True)
 class IndexVerdict:
@@ -94,14 +100,6 @@ class IndexVerdict:
     divides_index: bool
     condition_used: str  # one of i..v, or "dedekind"
     detail: str
-
-
-def _resolvent(t: GeneralTrinomial) -> int:
-    """R = n1^{n1} B^{n1-m1} - (-1)^{n1} (n1-m1)^{n1-m1} m1^{m1} A^{n1}."""
-    n1, m1 = t.n1, t.m1
-    return n1**n1 * t.B ** (n1 - m1) - (-1) ** n1 * (n1 - m1) ** (n1 - m1) * (
-        m1**m1 * t.A**n1
-    )
 
 
 def swan_general_discriminant(t: GeneralTrinomial) -> int:
@@ -113,10 +111,10 @@ def swan_general_discriminant(t: GeneralTrinomial) -> int:
         (-1)^{n(n-1)/2} B^{m-1}
             [n^{n1} B^{n1-m1} - (-1)^{n1} (n-m)^{n1-m1} m^{m1} A^{n1}]^{d0}
 
-    The bracket, Swan's core, is d0^{n1} times `_resolvent`.
+    The bracket, Swan's core, is d0^{n1} times `GeneralTrinomial.resolvent`.
     """
     n, m, d0 = t.n, t.m, t.d0
-    core = d0**t.n1 * _resolvent(t)
+    core = d0**t.n1 * t.resolvent
     return (-1) ** (n * (n - 1) // 2) * t.B ** (m - 1) * core**d0
 
 
@@ -216,7 +214,7 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {deg}"
         return IndexVerdict(q, not free, "iv", detail)
 
-    free = _resolvent(t) % (q * q) != 0
+    free = t.resolvent % (q * q) != 0
     detail = f"(v): q∤ABm; q^2 {'not ' if free else ''}dividing the resolvent"
     return IndexVerdict(q, not free, "v", detail)
 

@@ -26,10 +26,8 @@ from monotri.classify import (
     TrinomialFamily,
     case_label,
     classify,
-    delta,
     exceptional_sets,
     family_is_irreducible,
-    family_polynomial,
     galois_group,
     kkr_monogenic,
     swan_disc_f,
@@ -86,12 +84,11 @@ def test_criterion_1_exceptional_sets():
 def test_criterion_2_three_way_consistency():
     checked = 0
     for fam in _grid_families():
-        if delta(fam) % fam.p != 0:
+        if fam.delta % fam.p != 0:
             continue
         if not family_is_irreducible(fam):
             continue
-        case = case_label(fam)
-        member = theorem_membership(fam, case)
+        member = theorem_membership(fam)
         kkr, _ = kkr_monogenic(fam)
         report = trinomial_is_monogenic(
             GeneralTrinomial(2 * fam.p, fam.p, fam.a, fam.b**fam.p)
@@ -136,7 +133,7 @@ def test_criterion_4_discriminant_cross_check():
     fams = [TrinomialFamily(p, rng.choice(range(1, 31)), rng.choice((1, -1)))
             for p in (3, 5) for _ in range(20)]
     for fam in fams:
-        if swan_disc_f(fam) != poly.discriminant(family_polynomial(fam)):
+        if swan_disc_f(fam) != poly.discriminant(fam.trinomial.polynomial()):
             _report("criterion 4 (discriminant)", False,
                     f"resultant mismatch {fam}")
         checked += 1
@@ -214,7 +211,7 @@ def test_criterion_8_item3b_equivalence():
             if a == 0:
                 continue
             fam = TrinomialFamily(3, a, b)
-            if delta(fam) % 3 != 0:
+            if fam.delta % 3 != 0:
                 continue
             if case_label(fam).kind not in (
                 CaseKind.OMEGA_B1, CaseKind.OMEGA_BNEG1

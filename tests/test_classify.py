@@ -16,10 +16,8 @@ from monotri.classify import (
     _squarefree_reasons,
     case_label,
     classify,
-    delta,
     exceptional_sets,
     family_is_irreducible,
-    family_polynomial,
     galois_group,
     kkr_monogenic,
     quadratic_is_monogenic,
@@ -48,10 +46,10 @@ class TestFamilyValidation:
 
 class TestDeltaAndDiscriminant:
     def test_delta_examples(self):
-        assert delta(TrinomialFamily(3, 1, 1)) == -3
-        assert delta(TrinomialFamily(5, 3, 1)) == 5
-        assert delta(TrinomialFamily(3, 4, 1)) == 12
-        assert delta(TrinomialFamily(5, 1, -1)) == 5
+        assert TrinomialFamily(3, 1, 1).delta == -3
+        assert TrinomialFamily(5, 3, 1).delta == 5
+        assert TrinomialFamily(3, 4, 1).delta == 12
+        assert TrinomialFamily(5, 1, -1).delta == 5
 
     def test_closed_form_matches_resultant_on_grid(self):
         for p in (3, 5):
@@ -61,7 +59,7 @@ class TestDeltaAndDiscriminant:
                 for b in (-2, -1, 1, 2):
                     fam = TrinomialFamily(p, a, b)
                     assert swan_disc_f(fam) == poly.discriminant(
-                        family_polynomial(fam)
+                        fam.trinomial.polynomial()
                     ), fam
 
     def test_known_value(self):
@@ -110,7 +108,7 @@ def pow2_root_bound(n, p):
 
 def s_bound(fam):
     """The bound S on |trace gamma| that `family_is_irreducible` uses."""
-    root_bound = (abs(fam.a) + math.isqrt(abs(delta(fam))) + 2) // 2 + 1
+    root_bound = (abs(fam.a) + math.isqrt(abs(fam.delta)) + 2) // 2 + 1
     return 2 * pow2_root_bound(root_bound, fam.p) + 2
 
 
@@ -131,7 +129,7 @@ def least_root(n, p):
 def scan_is_irreducible(fam):
     """Oracle: f is reducible iff delta is a square or D_p(s, b) = -a for
     some s in [-S, S]; every s is tried."""
-    d = delta(fam)
+    d = fam.delta
     if d == 0 or arith.exact_square_root(d) is not None:
         return False
     bound = s_bound(fam)
@@ -163,7 +161,7 @@ class TestIrreducibility:
                 for b in (-2, -1, 1, 2):
                     fam = TrinomialFamily(p, a, b)
                     assert family_is_irreducible(fam) == (
-                        poly.is_irreducible_over_Q(family_polynomial(fam))
+                        poly.is_irreducible_over_Q(fam.trinomial.polynomial())
                     ), fam
 
     def test_large_p_is_fast(self):
@@ -216,7 +214,7 @@ class TestIrreducibility:
                     scan = scan_is_irreducible(fam)
                     assert family_is_irreducible(fam) == scan, fam
                     # reducible through a root of P, not a square delta
-                    square = arith.exact_square_root(delta(fam)) is not None
+                    square = arith.exact_square_root(fam.delta) is not None
                     reducible += not scan and not square
         assert reducible >= 200, reducible
 
@@ -405,7 +403,7 @@ class TestKkrMonogenic:
                     continue
                 for b in (1, -1):
                     fam = TrinomialFamily(p, a, b)
-                    if delta(fam) % p != 0:
+                    if fam.delta % p != 0:
                         continue
                     if not family_is_irreducible(fam):
                         continue
@@ -440,12 +438,11 @@ class TestTheoremMembership:
                     continue
                 for b in (1, -1):
                     fam = TrinomialFamily(p, a, b)
-                    if delta(fam) % p != 0:
+                    if fam.delta % p != 0:
                         continue
                     if not family_is_irreducible(fam):
                         continue
-                    case = case_label(fam)
-                    member = theorem_membership(fam, case)
+                    member = theorem_membership(fam)
                     ok, reasons = kkr_monogenic(fam)
                     assert member == ok, (fam, reasons)
 
@@ -544,6 +541,27 @@ class TestClassify:
         calls.clear()
         rows = list(cli.corollary_scan_rows(20, {}))
         assert len(calls) == sum(r["p_is_prime"] for r in rows) == 7
+
+    def test_one_family_object_decides_each_fact_once(self, monkeypatch):
+        # every verdict on one family object reads the facts it holds
+        calls = []
+        general = indexcheck.swan_general_discriminant
+        monkeypatch.setattr(
+            "monotri.classify.family_is_irreducible",
+            lambda fam: calls.append("irreducible") or family_is_irreducible(fam),
+        )
+        monkeypatch.setattr(
+            indexcheck,
+            "swan_general_discriminant",
+            lambda t: calls.append("disc") or general(t),
+        )
+        fam = TrinomialFamily(5, 3, 1)
+        c = classify(fam)
+        assert galois_group(fam) == c.galois
+        assert kkr_monogenic(fam)[0] is c.monogenic is True
+        assert case_label(fam) == c.case
+        assert theorem_membership(fam)
+        assert sorted(calls) == ["disc", "irreducible"]
 
     @pytest.mark.parametrize(
         "p, a, b",
@@ -647,8 +665,7 @@ class TestExceptionalSets:
         sets = exceptional_sets(13, 30)
         for item, entries in sets.items():
             for _, p, a, b in entries:
-                fam = TrinomialFamily(p, a, b)
-                assert theorem_membership(fam, case_label(fam))
+                assert theorem_membership(TrinomialFamily(p, a, b))
         got = {(p, a, b) for e in sets.values() for _, p, a, b in e}
         expect = {(5, 3, 1), (5, -3, 1), (3, 1, 1), (3, -1, 1),
                   (3, 4, 1), (3, -4, 1), (5, 1, -1), (5, -1, -1),

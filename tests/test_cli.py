@@ -213,6 +213,15 @@ class TestEnumerateCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_unknown_case_rejected(self, capsys):
+        # a misspelt label would otherwise filter out every row, silently
+        code, out, err = run(
+            capsys, "enumerate", "-p", "3", "--a-min", "1", "--a-max", "5",
+            "-b", "1", "--case", "Gamma1",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "invalid choice" in err and "Gamma1_b1" in err
+
 
 class TestCorollaryScan:
     def test_z_up_to_20(self, capsys):

@@ -13,7 +13,7 @@ from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.exceptions import ClosureFailure
 
 from monotri import cli
-from monotri.classify import TrinomialFamily, classify, family_polynomial
+from monotri.classify import TrinomialFamily, classify
 from monotri.indexcheck import trinomial_is_monogenic
 
 
@@ -41,7 +41,7 @@ def test_family_monogenic_iff_disc_is_field_disc():
         r = classify(fam)
         if not r.irreducible or r.monogenic is None:
             return
-        d_k = field_discriminant(family_polynomial(fam))
+        d_k = field_discriminant(fam.trinomial.polynomial())
         if d_k is None:
             return
         assert r.monogenic == (r.disc_f == d_k), fam

@@ -12,9 +12,7 @@ from monotri.classify import (
     GaloisKind,
     TrinomialFamily,
     _dickson_trace,
-    delta,
     family_is_irreducible,
-    family_polynomial,
     galois_group,
 )
 from monotri.galois_verify import (
@@ -137,9 +135,9 @@ def degree_pattern_sample(fam, prime_budget, branches):
     sampler.  g splits mod ell iff the pattern has an odd degree: over a
     split g, x^p - beta has a root or is irreducible of degree p.
     """
-    f = family_polynomial(fam)
+    f = fam.trinomial.polynomial()
     p = fam.p
-    ramified = p * fam.b * delta(fam)
+    ramified = p * fam.b * fam.delta
     observed = {}
     splits = used = 0
     for ell in arith.primes():
@@ -161,9 +159,9 @@ def degree_pattern_sample(fam, prime_budget, branches):
 
 
 def fast_and_oracle(fam, ell):
-    d = delta(fam)
+    d = fam.delta
     fast = _frobenius_pattern(fam.p, fam.a, fam.b**fam.p, d, ell)
-    return fast, poly.degree_pattern(family_polynomial(fam), ell)
+    return fast, poly.degree_pattern(fam.trinomial.polynomial(), ell)
 
 
 class TestFrobeniusPattern:
@@ -175,7 +173,7 @@ class TestFrobeniusPattern:
     )
     def test_matches_degree_pattern(self, p, a, b):
         fam = TrinomialFamily(p, a, b)
-        d = delta(fam)
+        d = fam.delta
         assume(d != 0)
         used = 0
         for ell in arith.primes():

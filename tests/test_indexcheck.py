@@ -14,7 +14,6 @@ from monotri.indexcheck import (
     NotADiscriminantPrime,
     Reducible,
     _build_h2,
-    _resolvent,
     dedekind_divides_index,
     jks_index_free,
     swan_general_discriminant,
@@ -97,8 +96,8 @@ class TestSwanGeneralDiscriminant:
         jks_v = B ** (n1 - m1) * n1**n1 - (-1) ** m1 * A**n1 * m1**m1 * (
             m1 - n1
         ) ** (n1 - m1)
-        assert swan_core == d0**n1 * _resolvent(t)
-        assert jks_v == _resolvent(t)
+        assert swan_core == d0**n1 * t.resolvent
+        assert jks_v == t.resolvent
 
 
 class TestDiscProperty:
