@@ -7,8 +7,9 @@ composed-polynomial monogenicity test, and the full verdict with a
 structured reason trace.  A `TrinomialFamily` is the one record of a
 family's facts: it holds f as a GeneralTrinomial (whose discriminant is
 cached), delta, its +-p y^2 split and the irreducibility verdict, each
-computed once however many verdicts read it.  The paper's closed form
-`swan_disc_f` is the tests' reference for the discriminant.
+computed once however many verdicts read it; a `Classification` stores only
+what it decides and reads those facts through its `family`.  The paper's
+closed form `swan_disc_f` is the tests' reference for the discriminant.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .poly import _lift_root
 __all__ = [
     "TrinomialFamily",
     "CaseKind",
-    "CaseLabel",
     "GaloisKind",
     "GaloisClass",
     "Classification",
@@ -101,12 +101,6 @@ class CaseKind(Enum):
     P_NOT_DIVIDING_DELTA = "p_not_dividing_delta"
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    kind: CaseKind
-    y_witness: int | None = None
-
-
 class GaloisKind(Enum):
     """The group (C_p : C_d) x C_2^e, a complement order d and a C_2 flag."""
 
@@ -126,27 +120,39 @@ class GaloisKind(Enum):
 @dataclass(frozen=True)
 class GaloisClass:
     kind: GaloisKind
-    order: int
+    p: int
 
-    @staticmethod
-    def for_kind(kind: GaloisKind, p: int) -> "GaloisClass":
-        return GaloisClass(kind, p * kind.complement(p) * (1 + kind.times_c2))
+    @property
+    def order(self) -> int:
+        p, kind = self.p, self.kind
+        return p * kind.complement(p) * (1 + kind.times_c2)
 
-    def describe(self, p: int) -> str:
-        base = f"C{p}:C{self.kind.complement(p)}"
+    def describe(self) -> str:
+        base = f"C{self.p}:C{self.kind.complement(self.p)}"
         return f"({base})xC2" if self.kind.times_c2 else base
 
 
 @dataclass(frozen=True)
 class Classification:
+    """What `classify` decides; every other fact is read from `family`."""
+
     family: TrinomialFamily
-    delta: int
-    disc_f: int
-    irreducible: bool
-    case: CaseLabel | None
+    case: CaseKind | None
     galois: GaloisClass | None
     monogenic: bool | None  # None = unknown (budget) or reducible
     reason: tuple  # ordered tuple of applied-rule strings
+
+    @property
+    def delta(self) -> int:
+        return self.family.delta
+
+    @property
+    def disc_f(self) -> int:
+        return self.family.trinomial.disc
+
+    @property
+    def irreducible(self) -> bool:
+        return self.family.irreducible
 
     @property
     def field_discriminant(self) -> int | None:
@@ -158,7 +164,7 @@ def swan_disc_f(fam: TrinomialFamily) -> int:
     """Closed-form discriminant b^{p(p-1)} p^{2p} (a^2 - 4 b^p)^p.
 
     The paper's form, kept as the test reference for Swan's general form,
-    which `classify` reads through `GeneralTrinomial.disc`.
+    which `Classification.disc_f` reads through `GeneralTrinomial.disc`.
     """
     p, b = fam.p, fam.b
     return b ** (p * (p - 1)) * p ** (2 * p) * fam.delta**p
@@ -244,27 +250,26 @@ def galois_group(fam: TrinomialFamily) -> GaloisClass:
             kind = GaloisKind.FROBENIUS_P_PMINUS1
         elif p % 4 == 3 and split[0] < 0:
             kind = GaloisKind.HALF_TIMES_C2
-    return GaloisClass.for_kind(kind, p)
+    return GaloisClass(kind, p)
 
 
-def case_label(fam: TrinomialFamily) -> CaseLabel:
+def case_label(fam: TrinomialFamily) -> CaseKind:
     """Which of the delta = +-p y^2 / neither cases (p | delta), or p∤delta."""
     b = fam.b
     if fam.delta % fam.p != 0:
-        return CaseLabel(CaseKind.P_NOT_DIVIDING_DELTA)
+        return CaseKind.P_NOT_DIVIDING_DELTA
     if b not in (1, -1):
         raise UnsupportedB(f"case ledger needs b = +-1, got b={b}")
     split = fam.p_split
     if split is None:
-        return CaseLabel(CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1)
+        return CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1
     # delta = 0 = p 0^2 (a degenerate, always-reducible family) is Gamma1
-    sign, y = split
-    if sign > 0:
-        return CaseLabel(CaseKind.GAMMA1_B1 if b == 1 else CaseKind.GAMMA1_BNEG1, y)
+    if split[0] > 0:
+        return CaseKind.GAMMA1_B1 if b == 1 else CaseKind.GAMMA1_BNEG1
     if b == -1:
         # delta = a^2 + 4 > 0: cannot be -p y^2
         raise AssertionError("(Gamma2, -1) is impossible")
-    return CaseLabel(CaseKind.GAMMA2_B1, y)
+    return CaseKind.GAMMA2_B1
 
 
 def _squarefree_reasons(a: int, b: int, **budget):
@@ -336,14 +341,13 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
     return not verdict.divides_index and quad_ok, reasons
 
 
-def theorem_item(case: CaseLabel, p: int) -> str:
+def theorem_item(case: CaseKind, p: int) -> str:
     """Which closed-form item of the classification covers this case."""
-    k = case.kind
-    if k in (CaseKind.GAMMA1_B1, CaseKind.GAMMA1_BNEG1):
+    if case in (CaseKind.GAMMA1_B1, CaseKind.GAMMA1_BNEG1):
         return "item1" if p % 4 == 1 else "item3a"
-    if k is CaseKind.GAMMA2_B1:
+    if case is CaseKind.GAMMA2_B1:
         return "item2" if p % 4 == 3 else "item3a"
-    if k in (CaseKind.OMEGA_B1, CaseKind.OMEGA_BNEG1):
+    if case in (CaseKind.OMEGA_B1, CaseKind.OMEGA_BNEG1):
         return "item3b"
     return "generic"
 
@@ -367,7 +371,7 @@ def theorem_membership(fam: TrinomialFamily, **budget) -> bool:
 def classify(fam: TrinomialFamily, **budget) -> Classification:
     """Full verdict for one family: irreducibility, case, Galois class,
     monogenicity and (when monogenic) the field discriminant."""
-    d, disc = fam.delta, fam.trinomial.disc
+    d = fam.delta
     p_divides = d % fam.p == 0
     # a case label exists iff b = +-1 or p does not divide delta
     case = case_label(fam) if fam.b in (1, -1) or not p_divides else None
@@ -377,10 +381,10 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
             reason = "delta is a perfect square: g reducible"
         else:
             reason = "root of g is a p-th power: f reducible"
-        return Classification(fam, d, disc, False, case, None, None, (reason,))
+        return Classification(fam, case, None, None, (reason,))
 
     galois = galois_group(fam)
-    reasons = [] if case is None else [f"case={case.kind.value}"]
+    reasons = [] if case is None else [f"case={case.value}"]
     monogenic: bool | None
     try:
         if p_divides:
@@ -397,9 +401,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
         monogenic = None
         reasons.append(f"unknown: {exc}")
 
-    return Classification(
-        fam, d, disc, True, case, galois, monogenic, tuple(reasons)
-    )
+    return Classification(fam, case, galois, monogenic, tuple(reasons))
 
 
 def exceptional_sets(p_max: int, a_max: int, **budget):

@@ -97,8 +97,8 @@ def classification_row(c: Classification) -> dict:
         "delta": c.delta,
         "disc_f": c.disc_f,
         "irreducible": c.irreducible,
-        "case": c.case.kind.value if c.case else None,
-        "galois": c.galois.describe(fam.p) if c.galois else None,
+        "case": c.case.value if c.case else None,
+        "galois": c.galois.describe() if c.galois else None,
         "galois_order": c.galois.order if c.galois else None,
         "monogenic": c.monogenic,
         "field_discriminant": c.field_discriminant,
@@ -113,12 +113,12 @@ class RowWriter:
         self.fmt = fmt
         self.fields = fields
         self.out = out or sys.stdout
+        self._csv = csv.writer(self.out, lineterminator="\n")
         self._header_done = False
 
     def _emit_header(self):
         if self.fmt == "csv":
-            w = csv.writer(self.out, lineterminator="\n")
-            w.writerow(self.fields)
+            self._csv.writerow(self.fields)
         elif self.fmt == "human":
             print("  ".join(self.fields), file=self.out)
         self._header_done = True
@@ -132,8 +132,7 @@ class RowWriter:
                 file=self.out,
             )
         elif self.fmt == "csv":
-            w = csv.writer(self.out, lineterminator="\n")
-            w.writerow([self._flat(row.get(k)) for k in self.fields])
+            self._csv.writerow([self._flat(row.get(k)) for k in self.fields])
         else:
             print(
                 "  ".join(f"{k}={self._flat(row.get(k))}" for k in self.fields),
@@ -215,7 +214,7 @@ def cmd_enumerate(args) -> int:
                 if args.monogenic_only and not c.monogenic:
                     continue
                 if args.case and (
-                    c.case is None or c.case.kind.value != args.case
+                    c.case is None or c.case.value != args.case
                 ):
                     continue
                 writer.write(classification_row(c))
@@ -242,7 +241,7 @@ def corollary_scan_rows(z_max: int, budget: dict):
             a=z,
             b=-1,
             monogenic=c.monogenic,
-            galois=c.galois.describe(p) if c.galois else None,
+            galois=c.galois.describe() if c.galois else None,
             galois_order=c.galois.order if c.galois else None,
             # Only delta = a^2 + 4 = +p y^2 gives C_p : C_{p-1}, and a = z
             # is the only a in [1, isqrt(p)] with p | a^2 + 4: for z >= 2,
@@ -361,7 +360,7 @@ def cmd_galois_sample(args) -> int:
         "p": fam.p,
         "a": fam.a,
         "b": fam.b,
-        "claimed": claimed.describe(fam.p),
+        "claimed": claimed.describe(),
         "claimed_order": claimed.order,
         "primes_used": report.primes_used,
         "observed_orders": dict(sorted(report.observed_orders.items())),
@@ -431,19 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors; 2 means Unknown here
-        return EXIT_USAGE if exc.code else EXIT_OK
-    # Rows hold exact integers of any size: lift the int-to-str digit
-    # limit (Python >= 3.10.7) for the command, and restore it after.
+    # Arguments and rows hold exact integers of any size: lift the digit
+    # limit on int <-> str (Python >= 3.10.7) before parsing, and restore
+    # it after the command.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # argparse uses exit code 2 for usage errors; 2 means Unknown here
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (UsageError, Reducible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,14 +53,11 @@ FULL_SPECTRUM_THRESHOLD = 2000
 
 @dataclass(frozen=True)
 class OrderSpectrum:
-    group: GaloisKind
-    p: int
     orders: frozenset
 
 
 @dataclass(frozen=True)
 class SampleReport:
-    family: TrinomialFamily
     primes_used: int
     observed_orders: dict  # order -> count
     split_fraction: Fraction
@@ -80,7 +77,7 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
     orders = {p} | _divisors(kind.complement(p))
     if kind.times_c2:
         orders |= {math.lcm(o, 2) for o in orders}
-    return OrderSpectrum(kind, p, frozenset(orders))
+    return OrderSpectrum(frozenset(orders))
 
 
 def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
@@ -154,7 +151,7 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
         used += 1
         if used >= prime_budget:
             break
-    return SampleReport(fam, used, observed, Fraction(splits, used))
+    return SampleReport(used, observed, Fraction(splits, used))
 
 
 def consistency_check(

@@ -161,7 +161,7 @@ def test_criterion_5_galois_density():
     rep = frobenius_sample(fam, 2000)
     v_true = consistency_check(fam, claimed, rep)
     v_wrong = consistency_check(
-        fam, GaloisClass.for_kind(GaloisKind.FULL_TIMES_C2, 5), rep
+        fam, GaloisClass(GaloisKind.FULL_TIMES_C2, 5), rep
     )
     ok = v_true == "consistent" and v_wrong == "inconsistent"
     details.append(f"(5,3,1) true={v_true} alt40={v_wrong}")
@@ -213,7 +213,7 @@ def test_criterion_8_item3b_equivalence():
             fam = TrinomialFamily(3, a, b)
             if fam.delta % 3 != 0:
                 continue
-            if case_label(fam).kind not in (
+            if case_label(fam) not in (
                 CaseKind.OMEGA_B1, CaseKind.OMEGA_BNEG1
             ):
                 continue

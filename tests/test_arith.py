@@ -54,7 +54,7 @@ class TestIsPrime:
         )
     )
     @settings(max_examples=100, deadline=None)
-    def test_lazy_witnesses_match_the_eager_list(self, n):
+    def test_witnesses_drawn_lazily_match_the_eager_list(self, n):
         # Above the proven bound the 64 input-seeded witnesses are drawn
         # one at a time; the verdict must equal that of all 64 drawn first.
         assert n > arith._DETERMINISTIC_BOUND

@@ -257,19 +257,19 @@ class TestGaloisGroup:
         g = galois_group(TrinomialFamily(5, 3, 1))
         assert g.kind is GaloisKind.FROBENIUS_P_PMINUS1
         assert g.order == 20
-        assert g.describe(5) == "C5:C4"
+        assert g.describe() == "C5:C4"
 
     def test_half_case(self):
         g = galois_group(TrinomialFamily(3, 1, 1))
         assert g.kind is GaloisKind.HALF_TIMES_C2
         assert g.order == 6
-        assert g.describe(3) == "(C3:C1)xC2"
+        assert g.describe() == "(C3:C1)xC2"
 
     def test_full_case_p_divides(self):
         g = galois_group(TrinomialFamily(3, 4, 1))  # delta = 12 = 3*4, p=3
         assert g.kind is GaloisKind.FULL_TIMES_C2
         assert g.order == 12
-        assert g.describe(3) == "(C3:C2)xC2"
+        assert g.describe() == "(C3:C2)xC2"
 
     def test_full_case_p_not_dividing(self):
         g = galois_group(TrinomialFamily(3, 1, -1))  # delta = 5
@@ -289,32 +289,32 @@ class TestGaloisGroup:
             galois_group(TrinomialFamily(3, 2, -2))
 
 
-class TestCaseLabel:
+class TestCaseLedger:
     def test_gamma1_b1(self):
-        c = case_label(TrinomialFamily(5, 3, 1))
-        assert c.kind is CaseKind.GAMMA1_B1 and c.y_witness == 1
+        fam = TrinomialFamily(5, 3, 1)
+        assert case_label(fam) is CaseKind.GAMMA1_B1 and fam.p_split[1] == 1
 
     def test_gamma2_b1(self):
-        c = case_label(TrinomialFamily(3, 1, 1))
-        assert c.kind is CaseKind.GAMMA2_B1 and c.y_witness == 1
+        fam = TrinomialFamily(3, 1, 1)
+        assert case_label(fam) is CaseKind.GAMMA2_B1 and fam.p_split[1] == 1
 
     def test_gamma1_bneg1(self):
-        c = case_label(TrinomialFamily(5, 1, -1))
-        assert c.kind is CaseKind.GAMMA1_BNEG1 and c.y_witness == 1
+        fam = TrinomialFamily(5, 1, -1)
+        assert case_label(fam) is CaseKind.GAMMA1_BNEG1 and fam.p_split[1] == 1
 
     def test_omega(self):
         c = case_label(TrinomialFamily(3, 3, 1))  # delta = 5
-        assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
+        assert c is CaseKind.P_NOT_DIVIDING_DELTA
         c = case_label(TrinomialFamily(3, 6, 1))  # delta = 32
-        assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
+        assert c is CaseKind.P_NOT_DIVIDING_DELTA
         c = case_label(TrinomialFamily(3, 9, 1))  # delta = 77
-        assert c.kind is CaseKind.P_NOT_DIVIDING_DELTA
-        c = case_label(TrinomialFamily(3, 7, 1))  # delta = 45 = 3*15
-        assert c.kind is CaseKind.OMEGA_B1 and c.y_witness is None
+        assert c is CaseKind.P_NOT_DIVIDING_DELTA
+        fam = TrinomialFamily(3, 7, 1)  # delta = 45 = 3*15
+        assert case_label(fam) is CaseKind.OMEGA_B1 and fam.p_split is None
 
     def test_unsupported_b(self):
         # p=3, a=4, b=2: delta = 16-32 = -16, -16 % 3 != 0 -> fine
-        assert case_label(TrinomialFamily(3, 4, 2)).kind is (
+        assert case_label(TrinomialFamily(3, 4, 2)) is (
             CaseKind.P_NOT_DIVIDING_DELTA
         )
         # p=3, a=3, b=3: delta = 9-108 = -99, 3 | 99 -> ledger needs |b|=1
@@ -326,7 +326,7 @@ class TestCaseLabel:
         for p in (3, 7):
             for a in range(1, 40):
                 c = case_label(TrinomialFamily(p, a, -1))
-                assert c.kind is not CaseKind.GAMMA2_B1
+                assert c is not CaseKind.GAMMA2_B1
 
 
 class TestQuadraticMonogenic:
@@ -468,7 +468,7 @@ class TestClassify:
 
     def test_generic_branch(self):
         c = classify(TrinomialFamily(3, 1, -1))  # delta = 5, p does not divide
-        assert c.case.kind is CaseKind.P_NOT_DIVIDING_DELTA
+        assert c.case is CaseKind.P_NOT_DIVIDING_DELTA
         assert c.irreducible
         assert any("generic index scan" in r for r in c.reason)
 
@@ -588,8 +588,8 @@ class TestClassify:
         )
         fam = TrinomialFamily(p, a, b)
         c = classify(fam)
-        assert calls == ["general"]
         assert c.disc_f == swan_disc_f(fam)
+        assert calls == ["general"]
 
     def test_b_not_unit_with_p_dividing_delta(self):
         # p=3, b=3, a=3: delta = -99 divisible by 3, |b| != 1
@@ -630,8 +630,8 @@ class TestClassify:
                 continue
             g = galois_group(fam)
             c = case_label(fam)
-            gamma1 = c.kind in (CaseKind.GAMMA1_B1, CaseKind.GAMMA1_BNEG1)
-            gamma2 = c.kind is CaseKind.GAMMA2_B1
+            gamma1 = c in (CaseKind.GAMMA1_B1, CaseKind.GAMMA1_BNEG1)
+            gamma2 = c is CaseKind.GAMMA2_B1
             if gamma1 and p % 4 == 1:
                 assert g.kind is GaloisKind.FROBENIUS_P_PMINUS1
             elif gamma2 and p % 4 == 3:

@@ -153,6 +153,29 @@ class TestLargeRows:
         assert row["disc_f"] == swan_disc_f(TrinomialFamily(1009, 3, 1))
         assert row["field_discriminant"] == row["disc_f"]
 
+    # a = -(s^3 - 3s) with s = 10^1500, written out: 4,501 characters, past
+    # the 4300-digit limit on parsing an int.  D_3(s, 1) = s^3 - 3s = -a,
+    # so the root of g is a cube and f is reducible.
+    HUGE_A = "-" + "9" * 2999 + "7" + "0" * 1500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "-p", "3", "-a", HUGE_A, "-b", "1"],
+            ["enumerate", "-p", "3", "--a-min", HUGE_A, "--a-max", HUGE_A,
+             "-b", "1"],
+        ],
+        ids=["classify", "enumerate"],
+    )
+    def test_huge_a_argument_is_parsed(self, capsys, argv):
+        limit = _str_digit_limit()
+        code, out, err = run(capsys, *argv, "--format", "jsonl")
+        assert code == EXIT_OK, err
+        assert _str_digit_limit() == limit
+        assert out.startswith(f'{{"p": 3, "a": {self.HUGE_A}, "b": 1, ')
+        assert '"irreducible": false' in out
+        assert "root of g is a p-th power: f reducible" in out
+
 
 class TestEnumerateCommand:
     def test_monogenic_grid_p3(self, capsys):
