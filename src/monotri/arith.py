@@ -12,7 +12,10 @@ divisions, not e; each factor Pollard-Brent rho splits off loses its whole
 power the same way, so a repeated factor costs one rho call, not one per
 copy.  A perfect power r^k past trial division goes on as r, found by
 exact k-th roots (Bernstein, Math. Comp. 67, 1998), before is_prime or
-rho sees it.
+rho sees it.  Trial division stops at a cofactor that is_prime proves
+prime (below its deterministic bound) where the loop would otherwise walk
+the whole table: the walk could find no divisor of it, and the stage after
+it would only prove the same cofactor prime, so nothing but time changes.
 """
 
 from __future__ import annotations
@@ -63,6 +66,15 @@ _LARGE_ROUNDS = 64
 
 # Cofactors longer than this are not written out in full in an Unknown.
 _CITED_BITS = 4096
+
+# The odd primes below 1000, multiplied.  Trial division finds a factor
+# this shares with a cofactor within 167 steps, which cost less than the
+# Miller-Rabin round that would fail to prove the cofactor prime.
+_SCREEN = math.prod(
+    p
+    for p in range(3, 1000, 2)
+    if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+)
 
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
@@ -120,6 +132,16 @@ def is_prime(n: int) -> bool:
         # Drawn lazily: a composite usually needs only the first.
         witnesses = (rng.randrange(2, n - 1) for _ in range(_LARGE_ROUNDS))
     return not any(_miller_rabin_witness(n, a) for a in witnesses)
+
+
+def _proven_prime(n, floor):
+    """True if floor < n < _DETERMINISTIC_BOUND, n shares no factor with
+    _SCREEN, and is_prime, a proof below that bound, passes n."""
+    return (
+        floor < n < _DETERMINISTIC_BOUND
+        and math.gcd(n, _SCREEN) == 1
+        and is_prime(n)
+    )
 
 
 def _trial_primes(bound):
@@ -223,7 +245,7 @@ def _pollard_brent(n, budget, rng):
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
                 spent += min(m, r - k + m)
@@ -234,7 +256,7 @@ def _pollard_brent(n, budget, rng):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 spent += 1
                 if spent > budget:
                     raise _rho_exhausted(n, budget)
@@ -295,16 +317,25 @@ def factorize(
     2 is always divided out.  Then n is divided by each odd prime p <=
     trial_bound, from the cached sieve table, until p*p exceeds what is
     left; a prime that divides has its whole power removed at once by
-    _divide_out.  Every prime factor of what is left is >= d, the next
-    untried candidate, so it, and each factor rho splits off it, is prime
-    if it is below d*d.  Pollard-Brent rho runs with an iteration budget;
-    budget exhaustion raises rather than guessing.  The rho stage keeps
-    (cofactor, multiplicity) pairs.  A cofactor m >= d*d that is r^k for
-    a prime k <= log m / log d goes on as r with k times the multiplicity,
-    before is_prime; one that passes is_prime is prime; rho splits the
-    rest, and a factor g that it finds has its whole power divided out at
-    once.  So a repeated factor takes at most one rho call, and a power
-    of a prime none.
+    _divide_out.  Where what is left exceeds the square of the last
+    prime in the table, the loop would run to the table's end; there, if
+    it is below _DETERMINISTIC_BOUND and has no odd factor below 1000
+    (one gcd, which spares a Miller-Rabin round on a cofactor such as
+    593^7 that the loop would soon divide), it is tested at the start
+    and again after each divisor found, and a proven prime ends the loop
+    as the last factor.  That exit is exact: no table prime divides a
+    prime above them all, and past the loop the same cofactor would only
+    meet the same deterministic is_prime (or, below d*d, be taken as
+    prime unasked), never rho.  Every prime factor of what is left is
+    >= d, the next untried candidate, so it, and each factor rho splits
+    off it, is prime if it is below d*d.  Pollard-Brent rho runs with an
+    iteration budget; budget exhaustion raises rather than guessing.  The
+    rho stage keeps (cofactor, multiplicity) pairs.  A cofactor m >= d*d
+    that is r^k for a prime k <= log m / log d goes on as r with k times
+    the multiplicity, before is_prime; one that passes is_prime is prime;
+    rho splits the rest, and a factor g that it finds has its whole power
+    divided out at once.  So a repeated factor takes at most one rho
+    call, and a power of a prime none.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -326,6 +357,12 @@ def factorize(
         bound = min(trial_bound, math.isqrt(n))
     table, k = _trial_primes(bound)
     d = max(3, (bound + 1) | 1)  # the smallest odd number past the table
+    # Above the last prime's square the loop would run to the end of the
+    # table; a cofactor proven prime there ends it instead.
+    full_walk = table[k - 1] ** 2 if k > 1 else _DETERMINISTIC_BOUND
+    if _proven_prime(n, full_walk):
+        add(n)
+        n = 1
     for p in islice(table, 1, k):
         if p * p > n:
             d = p
@@ -333,6 +370,9 @@ def factorize(
         if n % p == 0:
             n, e = _divide_out(n // p, p)
             add(p, e + 1)
+            if _proven_prime(n, full_walk):
+                add(n)
+                n = 1
     rng = None  # seeded by n, made when rho first runs
     stack = [(n, 1)] if n > 1 else []
     while stack:

@@ -52,9 +52,9 @@ class UnsupportedB(ValueError):
 class TrinomialFamily:
     """The triple (p, a, b) defining f = x^{2p} + a x^p + b^p.
 
-    Its properties are the facts every verdict reads.  `trinomial` and
-    `irreducible` are cached (outside eq, hash and repr); `delta` and
-    `p_split` are cheap and recomputed.
+    Its properties are the facts every verdict reads, each cached
+    (outside eq, hash and repr), so it is computed once per family
+    however many verdicts read it.
     """
 
     p: int
@@ -76,12 +76,12 @@ class TrinomialFamily:
     def irreducible(self) -> bool:
         return family_is_irreducible(self)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         """a^2 - 4 b^p."""
         return self.a * self.a - 4 * self.trinomial.B
 
-    @property
+    @cached_property
     def p_split(self):
         """(sign, y) with delta = sign p y^2 and y >= 0, or None."""
         d = self.delta

@@ -232,7 +232,9 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     f mod q, so it divides g mod q, and the gcd with h alone is taken.
     g and h are lifted with coefficients in [0, q); the verdict does not
     depend on that choice.  All of it runs on reduced coefficient lists
-    over F_q (`poly._radical`, `poly._quotient`, `poly._gcd`).
+    over F_q (`poly._radical`, `poly._quotient`, `poly._gcd`); for
+    q > deg f the radical is f / gcd(f, f') mod q, one gcd, and only a
+    q <= deg f runs the squarefree split.
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")

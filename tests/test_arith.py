@@ -218,8 +218,8 @@ def least_power(m, k_max):
 
 def odd_d_factorize(n, trial_bound, rho_budget):
     """factorize by trial division over every odd d: the oracle for the
-    prime-table loop, which must try the same primes, pass on the same
-    cofactor and so give the same result or the same Unknown."""
+    prime-table loop, which must give the same result or the same
+    Unknown."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -278,21 +278,33 @@ TRIAL_BOUNDS = [0, 1, 2, 3, 4, 50, 1000, 100_000]
 _EXPONENTS = st.one_of(st.integers(1, 4), st.integers(100, 2500))
 
 
+PSI_13 = arith._DETERMINISTIC_BOUND
+
+
 @st.composite
 def _trial_division_cases(draw):
-    """(n, T): small prime powers, times optionally a prime in (T, T^2)
-    that trial division leaves, times optionally a power of a prime
-    above T (exponent up to 13, as p is in a family discriminant), times
-    optionally two primes just above T, which rho splits off into factors
-    below d^2 for d the first untried candidate.  Primes below 47 that
-    trial division reaches may take large exponents; above T they would
-    only feed rho a huge cofactor."""
+    """(n, T): small prime powers, and then one of two kinds.
+
+    Either times one prime P above T^2, which trial division leaves
+    whole: below psi_13, where factorize may prove it prime and stop
+    early, or above, where it must not.  Or times optionally a prime in
+    (T, T^2) that trial division leaves, times optionally a power of a
+    prime above T (exponent up to 13, as p is in a family discriminant),
+    times optionally two primes just above T, which rho splits off into
+    factors below d^2 for d the first untried candidate.  Primes below 47
+    that trial division reaches may take large exponents; above T they
+    would only feed rho a huge cofactor."""
     t = draw(st.sampled_from(TRIAL_BOUNDS))
     n = draw(st.sampled_from([1, -1]))
     for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 47, 997]))):
         big = q < 47 and q <= max(t, 2)
         n *= q ** draw(_EXPONENTS if big else st.integers(1, 4))
     floor = max(t, 3)
+    kind = draw(st.sampled_from(["proven", "probable", "mixed"]))
+    if kind == "proven":
+        return n * sympy.nextprime(draw(st.integers(floor**2, PSI_13 // 2))), t
+    if kind == "probable":
+        return n * sympy.nextprime(draw(st.integers(PSI_13, 2 * PSI_13))), t
     if draw(st.booleans()):
         n *= sympy.nextprime(draw(st.integers(floor, floor * floor - 1)))
     if draw(st.booleans()):
@@ -302,6 +314,22 @@ def _trial_division_cases(draw):
         for _ in range(2):
             n *= sympy.nextprime(draw(st.integers(floor, 2 * floor)))
     return n, t
+
+
+# Primes above 10^5 squared, below and above psi_13.
+PRIME_ABOVE_TABLE = sympy.nextprime(10**12)
+PRIME_ABOVE_PSI = sympy.nextprime(PSI_13)
+
+
+class _ReadCounter(list):
+    """A prime table that counts the entries read from its iterator."""
+
+    read = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            self.read += 1
+            yield p
 
 
 class TestFactorize:
@@ -380,6 +408,48 @@ class TestFactorize:
         monkeypatch.setattr(arith, "_pollard_brent", counting)
         assert factorize(n).factors == factors
         assert len(seen) == calls
+
+    @pytest.mark.parametrize(
+        "n, factors, reads, tests",
+        [
+            (PRIME_ABOVE_TABLE, {PRIME_ABOVE_TABLE: 1}, 2, 1),
+            (
+                3 * 5**2 * PRIME_ABOVE_TABLE,
+                {3: 1, 5: 2, PRIME_ABOVE_TABLE: 1},
+                4,
+                1,
+            ),
+            # composite below psi_13: the cube of a prime above the bound
+            (3 * 100_003**3, {3: 1, 100_003: 3}, None, 1),
+            # 593^7 shares 593 with the screen: no Miller-Rabin round, and
+            # the loop stops at 599, the 109th prime
+            (7**2 * 593**7, {7: 2, 593: 7}, 109, 0),
+            # above psi_13 only the stage after the loop tests it
+            (3 * PRIME_ABOVE_PSI, {3: 1, PRIME_ABOVE_PSI: 1}, None, 1),
+        ],
+        ids=["P", "3*5^2*P", "3*100003^3", "7^2*593^7", "3*P_above_psi13"],
+    )
+    def test_trial_division_ends_at_a_proven_prime(
+        self, n, factors, reads, tests, monkeypatch
+    ):
+        # A cofactor above the last table prime's square and below psi_13,
+        # with no factor below 1000, that is_prime proves prime ends the
+        # loop; any other cofactor takes the loop as far as it went
+        # before (None: to the end of the table).
+        tables, tested = [], []
+        trial_primes, prime = arith._trial_primes, arith.is_prime
+
+        def counted(bound):
+            table, k = trial_primes(bound)
+            tables.append((_ReadCounter(table), k))
+            return tables[-1]
+
+        monkeypatch.setattr(arith, "_trial_primes", counted)
+        monkeypatch.setattr(arith, "is_prime", lambda m: tested.append(m) or prime(m))
+        assert factorize(n).factors == factors
+        table, k = tables[0]
+        assert table.read == (k if reads is None else reads)
+        assert len(tested) == tests
 
     @given(
         st.integers(10**5, 10**12).map(sympy.nextprime),

@@ -566,6 +566,28 @@ class TestClassify:
     @pytest.mark.parametrize(
         "p, a, b",
         [
+            (5, 3, 1),  # delta = 5 = +5 * 1^2
+            (13, 3, -1),  # delta = 13 = +13 * 1^2
+            (3, 7, 1),  # delta = 45 = 3 * 15, not +-3 y^2
+        ],
+    )
+    def test_one_classify_roots_each_number_once(self, monkeypatch, p, a, b):
+        # delta and its +-p y^2 split are cached on the family, so
+        # case_label and galois_group share one root of |delta|/p; the
+        # other root is family_is_irreducible's square test of delta.
+        roots = []
+        root = arith.exact_square_root
+        monkeypatch.setattr(
+            arith, "exact_square_root", lambda n: roots.append(n) or root(n)
+        )
+        fam = TrinomialFamily(p, a, b)
+        c = classify(fam)
+        assert c.irreducible and c.case is not None
+        assert sorted(roots) == sorted([abs(fam.delta) // p, fam.delta])
+
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
             (5, 3, 2),  # p does not divide delta = -119
             (5, 3, 1),  # p | delta = 5, b = 1
             (3, 1, -2),  # p | delta = 33, |b| > 1

@@ -230,6 +230,22 @@ def _powered_products(draw):
     return q, f
 
 
+@st.composite
+def _radical_cases(draw):
+    """(q, f) with f a unit times monic factors over F_q raised to
+    multiplicities up to 7, deg f <= 12: both deg f < q, where the radical
+    is one gcd, and deg f >= q for q <= 7."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, 101, 2**31 - 1]))
+    f = [draw(st.integers(1, q - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        low = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+        e = draw(st.integers(1, 7))
+        if len(f) - 1 + e * len(low) <= 12:
+            for _ in range(e):
+                f = _reduce(_product(f, low + [1]), q)
+    return q, f
+
+
 class TestRadicalMod:
     def test_examples(self):
         # (x + 1)^2 (x + 2) over F_5
@@ -239,8 +255,8 @@ class TestRadicalMod:
         # the radical is monic
         assert _radical([3, 3], 7) == [1, 1]
 
-    @given(_powered_products())
-    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_powered_products(), _radical_cases()))
+    @settings(max_examples=400, deadline=None)
     def test_equals_product_of_distinct_irreducibles(self, case):
         q, f = case
         prod = [1]
