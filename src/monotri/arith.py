@@ -1,10 +1,11 @@
 """Arbitrary-precision integer primitives.
 
 Primality, bounded factorization, squarefree testing, valuations, exact
-square roots and the walk over the primes.  One sieve table serves both
+square roots and the walk over the primes.  One sieve table serves
 trial division (the primes up to factorize's trial bound, before
-Pollard-Brent rho) and the walk; a larger bound re-sieves it whole, to at
-least twice its old limit.  That table is the
+Pollard-Brent rho), the walk and is_prime, which answers an n up to the
+table's limit by one bisection into it; a larger bound re-sieves it whole,
+to at least twice its old limit.  That table is the
 module's only state; it is replaced whole, never edited, so every
 function here is safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, islice
 
@@ -85,7 +86,11 @@ _trial_table = (1, [])
 
 
 class FactorizationBudgetExceeded(Exception):
-    """Raised when the factoring effort bound is hit; never a wrong answer."""
+    """Raised when the factoring effort bound is hit; never a wrong answer.
+
+    `factorize` sets `factors`, a dict of the primes it had proven before
+    the budget ran out; each exponent is a lower bound.
+    """
 
 
 class NotPrime(ValueError):
@@ -112,14 +117,21 @@ def _miller_rabin_witness(n, a):
 def is_prime(n: int) -> bool:
     """True iff |n| is prime.
 
-    Deterministic below _DETERMINISTIC_BOUND, with only the witnesses
-    that n's size needs (the first k primes below psi_k); above it a
-    64-round Miller-Rabin test with input-seeded witnesses (error <
-    2^-128).
+    An n up to the limit of the cached sieve table (which holds every
+    prime up to that limit) is answered by one bisection into it: the
+    index engines and valuation re-prove each small discriminant prime on
+    every call.  Past the table it is deterministic below
+    _DETERMINISTIC_BOUND, with only the witnesses that n's size needs (the
+    first k primes below psi_k); above it a 64-round Miller-Rabin test
+    with input-seeded witnesses (error < 2^-128).
     """
     n = abs(n)
     if n < 2:
         return False
+    limit, table = _trial_table
+    if n <= limit:
+        i = bisect_left(table, n)
+        return i < len(table) and table[i] == n
     for p in _SMALL_WITNESSES:
         if n == p:
             return True
@@ -335,7 +347,8 @@ def factorize(
     the multiplicity, before is_prime; one that passes is_prime is prime;
     rho splits the rest, and a factor g that it finds has its whole power
     divided out at once.  So a repeated factor takes at most one rho
-    call, and a power of a prime none.
+    call, and a power of a prime none.  An exhausted budget raises
+    FactorizationBudgetExceeded with the primes proven so far attached.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -389,7 +402,11 @@ def factorize(
             add(m, e)
             continue
         rng = rng or random.Random(n)
-        g = _pollard_brent(m, rho_budget, rng)
+        try:
+            g = _pollard_brent(m, rho_budget, rng)
+        except FactorizationBudgetExceeded as exc:
+            exc.factors = factors
+            raise
         rest, k = _divide_out(m, g)
         stack.append((g, k * e))
         if rest > 1:

@@ -5,7 +5,8 @@ Two independent routes decide whether a prime q divides the index
 
 * a condition-dispatch engine on the shape of (q|A, q|B, q|m), with five
   mutually exclusive branches (the JKS criterion for trinomials);
-* the classical Dedekind criterion, driven by the radical of f mod q.
+* the classical Dedekind criterion, driven by the radical of f mod q,
+  or, for a lone double root r mod q, by f(r) mod q^2 alone.
 
 The two must always agree; the test suite cross-checks them on a large
 randomized corpus.  `trinomial_is_monogenic` scans every prime whose square
@@ -178,7 +179,9 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         assert num % q == 0, "b1 not integral"
         b1 = num // q
         first = a2 % q == 0 and b1 % q != 0
-        second = (a2 * ((-B) ** m1 * a2**n1 - (-b1) ** n1)) % q != 0
+        second = (
+            a2 * (pow(-B, m1, q) * pow(a2, n1, q) - pow(-b1, n1, q))
+        ) % q != 0
         free = first or second
         detail = f"(ii): q|A, q∤B; a2={arith._cite(a2)}, b1={arith._cite(b1)}"
         return IndexVerdict(q, not free, "ii", detail)
@@ -190,10 +193,11 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         a1 = num // q
         b2 = B // q
         first = a1 % q == 0 and b2 % q != 0
+        k = n1 - m1
         second = (
             a1
-            * b2 ** (m - 1)
-            * ((-A) ** m1 * a1 ** (n1 - m1) - (-b2) ** (n1 - m1))
+            * pow(b2, m - 1, q)
+            * (pow(-A, m1, q) * pow(a1, k, q) - pow(-b2, k, q))
         ) % q != 0
         free = first or second
         detail = f"(iii): q∤A, q|B; a1={arith._cite(a1)}, b2={arith._cite(b2)}"
@@ -232,22 +236,44 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     f mod q, so it divides g mod q, and the gcd with h alone is taken.
     g and h are lifted with coefficients in [0, q); the verdict does not
     depend on that choice.  All of it runs on reduced coefficient lists
-    over F_q (`poly._radical`, `poly._quotient`, `poly._gcd`); for
-    q > deg f the radical is f / gcd(f, f') mod q, one gcd, and only a
-    q <= deg f runs the squarefree split.
+    over F_q, and c = gcd(f, f') mod q is taken once.
+
+    A lone double root needs one evaluation.  If deg c = 1, c = x - r
+    and q divides the index iff q^2 | f(r), for the integer r in [0, q):
+
+    1. With f = prod g_i^e_i mod q, the g_i distinct monic irreducibles,
+       c = prod_{q ∤ e} g^(e-1) * prod_{q | e} g^e.
+    2. So deg c = 1 forces one linear factor x - r with e = 2, q odd
+       (at q = 2 it would put (x - r)^2 into c), and every other factor
+       simple.
+       Then h = x - r mod q, and x - r divides g mod q.
+    3. By the criterion, q divides the index iff T(r) = 0 mod q, with
+       T = (g*h - f)/q.
+    4. g(r) = h(r) = 0 mod q, so g(r) h(r) = 0 mod q^2 and
+       T(r) = -f(r)/q mod q: T(r) = 0 mod q iff q^2 | f(r).
+    5. f'(r) = 0 mod q gives f(r + qt) = f(r) mod q^2, so every lift of r
+       gives the same answer.
+
+    Otherwise h = c when q > deg f (every e is below q, so the second
+    product in 1 is empty), and h = f / rad(f) from the squarefree split
+    when q <= deg f (`poly._radical`, handed c).
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
     if not f.is_monic():
         raise ValueError("Dedekind criterion requires a monic polynomial")
+    # f is monic, so fbar is monic too
     fbar = poly._reduce(f.coeffs, q)
-    gbar = poly._radical(fbar, q)
-    hbar = poly._quotient(fbar, gbar, q)
+    c = poly._gcd(fbar, poly._derivative(fbar, q), q)
+    if len(c) == 2:
+        return poly._value(f.coeffs, -c[0] % q) % (q * q) == 0
+    gbar = poly._radical(fbar, q, c)
+    hbar = c if len(fbar) <= q else poly._quotient(fbar, gbar, q)
     # g and h are monic, so deg gh = deg f
     gh = poly._product(gbar, hbar)
     diff = [x - y for x, y in zip(gh, f.coeffs)]
-    assert all(c % q == 0 for c in diff)
-    tbar = poly._reduce([c // q for c in diff], q)
+    assert all(d % q == 0 for d in diff)
+    tbar = poly._reduce([d // q for d in diff], q)
     return len(poly._gcd(tbar, hbar, q)) > 1
 
 

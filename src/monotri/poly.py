@@ -210,14 +210,18 @@ def discriminant(f: IntPolynomial) -> int:
     return int(sign * res // f.lc)
 
 
-def _squarefree_parts(f, q):
+def _squarefree_parts(f, q, c=None):
     """Yield (multiplicity, squarefree factor) pairs, reduced lists over
-    F_q, whose product is the monic multiple of the reduced list f."""
+    F_q, whose product is the monic multiple of the reduced list f.
+
+    A caller that already holds c = gcd(f, f') of a monic f passes it in.
+    """
     if len(f) <= 1:
         return
-    f = _monic(f, q)
-    # f' = 0 gives c = f and w = 1: only the leftover branch runs
-    c = _gcd(f, _derivative(f, q), q)
+    if c is None:
+        f = _monic(f, q)
+        # f' = 0 gives c = f and w = 1: only the leftover branch runs
+        c = _gcd(f, _derivative(f, q), q)
     w = _quotient(f, c, q)
     i = 1
     while len(w) > 1 and len(c) > 1:
@@ -238,7 +242,7 @@ def _squarefree_parts(f, q):
             yield mult * q, part
 
 
-def _radical(f, q):
+def _radical(f, q, c=None):
     """The product of the distinct monic irreducible factors of the
     nonzero reduced list f over F_q.
 
@@ -247,13 +251,16 @@ def _radical(f, q):
     rad(f) = f / gcd(f, f'), one gcd.  Otherwise the squarefree parts
     are pairwise coprime and each is the product of the irreducibles of
     one multiplicity, so their product is rad(f); no factor is split
-    further.
+    further.  A caller that already holds c = gcd(f, f') of a monic f
+    passes it in, and that gcd is not taken again.
     """
-    if len(f) <= q:
+    if c is None:
         f = _monic(f, q)
-        return _quotient(f, _gcd(f, _derivative(f, q), q), q)
+        c = _gcd(f, _derivative(f, q), q)
+    if len(f) <= q:
+        return _quotient(f, c, q)
     rad = [1]
-    for _, part in _squarefree_parts(f, q):
+    for _, part in _squarefree_parts(f, q, c):
         rad = _reduce(_product(rad, part), q)
     return rad
 

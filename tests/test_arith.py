@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -21,6 +22,15 @@ from monotri.arith import (
     valuation,
 )
 from monotri.classify import TrinomialFamily, swan_disc_f
+
+
+@functools.lru_cache
+def _trial_division_primes(n_max):
+    """[n is prime for n in 0..n_max], by trial division."""
+    return [
+        n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        for n in range(n_max + 1)
+    ]
 
 
 class TestIsPrime:
@@ -76,6 +86,20 @@ class TestIsPrime:
             for a in arith._SMALL_WITNESSES[:k]
         )
         assert not is_prime(psi)
+
+    @pytest.mark.parametrize("grow", [None, 150_000, 400_000])
+    def test_table_lookup_matches_trial_division(self, grow, monkeypatch):
+        # n up to the table's limit is a lookup, n past it Miller-Rabin:
+        # the empty table sends every n to the second, 150,000 splits
+        # them and 400,000 answers them all by lookup
+        n_max = 2 * 10**5
+        monkeypatch.setattr(arith, "_trial_table", (1, []))
+        if grow:
+            arith._trial_primes(grow)
+            assert arith._trial_table[0] == grow
+        assert [is_prime(n) for n in range(n_max + 1)] == _trial_division_primes(
+            n_max
+        )
 
     def test_matches_sieve_to_two_million(self):
         n_max = 2 * 10**6
@@ -527,6 +551,24 @@ class TestFactorize:
         n = (2**127 - 1) * (2**89 - 1)
         with pytest.raises(FactorizationBudgetExceeded):
             factorize(n, trial_bound=100, rho_budget=50)
+
+    def test_budget_exceeded_carries_the_proven_primes(self):
+        cofactor = (2**89 - 1) * (2**127 - 1)
+        n = 2**5 * 3**4 * 97 * cofactor
+        with pytest.raises(FactorizationBudgetExceeded) as info:
+            factorize(n, trial_bound=100, rho_budget=50)
+        assert info.value.factors == {2: 5, 3: 4, 97: 1}
+        assert str(info.value) == f"rho budget 50 exhausted on {cofactor}"
+
+    @given(st.integers(2, 10**6), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_proven_primes_are_lower_bounds(self, small, e):
+        # rho may split off some primes of small^e before the budget runs out
+        n = small**e * (2**89 - 1) * (2**127 - 1)
+        with pytest.raises(FactorizationBudgetExceeded) as info:
+            factorize(n, trial_bound=10, rho_budget=300)
+        factors = info.value.factors
+        assert all(is_prime(p) and n % p**k == 0 for p, k in factors.items())
 
     def test_huge_cofactor_is_named_by_size(self):
         # str() of a 19,630-bit integer exceeds the 4300-digit limit

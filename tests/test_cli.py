@@ -360,6 +360,14 @@ class TestCrosscheck:
         assert row["skipped"] > 0
         assert row["disagreements"] == 0 and "disagreement:" not in err
 
+    def test_skipped_trinomial_checks_its_proven_primes(self):
+        # disc = -2^40 * 631484577147159308555466467, and two rho
+        # iterations cannot split the 90-bit cofactor
+        t = indexcheck.GeneralTrinomial(12, 11, -19, -16)
+        report = cli.run_crosscheck([t], {"rho_budget": 2})
+        assert report["total"] == report["agreements"] == 1
+        assert report["skipped"] == 1
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_empty_corpus_rejected(self, capsys, size):
         code, out, err = run(capsys, "crosscheck", "--size", size)

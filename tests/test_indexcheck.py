@@ -121,6 +121,59 @@ class TestDiscProperty:
         assert repr(t) == before == "GeneralTrinomial(n=6, m=3, A=1, B=1)"
 
 
+def exact_branch_ii_iii(t, q):
+    """Oracle: the branch (ii) or (iii) verdict on exact integers, every
+    power formed in full before it is reduced mod q."""
+    n, m, A, B, n1, m1 = t.n, t.m, t.A, t.B, t.n1, t.m1
+    if A % q == 0:
+        a2 = A // q
+        b1 = (B + (-B) ** (q ** arith.valuation(n, q))) // q
+        first = a2 % q == 0 and b1 % q != 0
+        second = (a2 * ((-B) ** m1 * a2**n1 - (-b1) ** n1)) % q != 0
+    else:
+        a1 = (A + (-A) ** (q ** arith.valuation(n - m, q))) // q
+        b2 = B // q
+        first = a1 % q == 0 and b2 % q != 0
+        second = (
+            a1
+            * b2 ** (m - 1)
+            * ((-A) ** m1 * a1 ** (n1 - m1) - (-b2) ** (n1 - m1))
+        ) % q != 0
+    return not (first or second)
+
+
+@st.composite
+def _branch_ii_iii_cases(draw):
+    """(t, q) with q | disc and exactly one of q | A, q | B.  B is often
+    +-2^p with p <= 211, at q odd in (ii) and at q = 2 in (iii); the
+    family shape x^2q + A x^q + B reaches q up to 211."""
+    nonzero = st.integers(-(10**4), 10**4).filter(bool)
+    power_of_two = st.builds(
+        lambda s, p: s * 2**p, st.sampled_from([1, -1]), st.integers(1, 211)
+    )
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([17, 101, 211]))
+        n, m = 2 * q, q
+    else:
+        q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        n = draw(st.integers(2, 36))
+        m = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):  # (ii): q | A, q ∤ B, and q | n
+        n -= n % q
+        assume(n >= 2)
+        m = min(m, n - 1)
+        A = q * draw(nonzero)
+        B = draw(power_of_two if q > 2 else unit_mod(q))
+    else:  # (iii): q ∤ A, q | B
+        A = draw(unit_mod(q))
+        B = draw(power_of_two) if q == 2 else q * draw(nonzero)
+    if B % q and draw(st.booleans()):
+        B = draw(unit_mod(q))
+    t = GeneralTrinomial(n, m, A, B)
+    assume(t.disc != 0 and t.disc % q == 0)
+    return t, q
+
+
 class TestJksIndexFree:
     @pytest.mark.parametrize("q", [-5, -2, 0, 1])
     def test_rejects_q_below_two(self, q):
@@ -169,6 +222,21 @@ class TestJksIndexFree:
         # x^106 + 12345 x^53 + 2^53: q = 53 divides m but not AB
         v = jks_index_free(GeneralTrinomial(106, 53, 12345, 2**53), 53)
         assert v.q == 53 and v.condition_used == "iv"
+
+    @given(_branch_ii_iii_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_branches_ii_iii_match_exact_integers(self, case):
+        t, q = case
+        v = jks_index_free(t, q)
+        assert v.condition_used == ("ii" if t.A % q == 0 else "iii")
+        assert v.divides_index == exact_branch_ii_iii(t, q)
+
+    def test_branch_ii_at_a_large_power_of_two(self):
+        # (-b1)^2 has about 2 * 1009^2 bits; mod q it is one pow
+        t = GeneralTrinomial(2 * 1009, 1009, 1009, 2**1009)
+        v = jks_index_free(t, 1009)
+        assert v.condition_used == "ii"
+        assert v.divides_index == exact_branch_ii_iii(t, 1009)
 
     def test_exactly_one_condition_fires(self):
         # dispatch is a partition on (q|A, q|B, q|m)
@@ -279,19 +347,32 @@ def textbook_dedekind(f, q):
 @st.composite
 def _planted_multiplicity_cases(draw):
     """(f, q): monic f over Z whose reduction mod q is a product of monic
-    factors of degree 1 or 2 raised to 1, 2, q or 2q, lifted to Z with a
-    random multiple of q added below the leading term."""
-    q = draw(st.sampled_from([2, 3, 5, 7]))
+    factors of degree 1 or 2 raised to 1, 2, q or 2q (1 or 2 for the large
+    q), lifted to Z with a random multiple of q added below the leading
+    term.  Half of them plant a lone double root r mod q (r = 0 among
+    them) beside factors raised to 1, and may shift the constant term so
+    that f(r) is 0 or q mod q^2."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 101, 10007]))
+    exponents = [1, 2, q, 2 * q] if q < 100 else [1, 2]
+    lone = draw(st.booleans())
     fbar = [1]
-    for _ in range(draw(st.integers(1, 3))):
+    if lone:
+        r = draw(st.one_of(st.just(0), st.integers(0, q - 1)))
+        fbar = poly._reduce([r * r, -2 * r, 1], q)
+        exponents = [1]
+    for _ in range(draw(st.integers(0, 4) if lone else st.integers(1, 3))):
         deg = draw(st.integers(1, 2))
         coeffs = draw(st.lists(st.integers(0, q - 1), min_size=deg, max_size=deg))
-        for _ in range(draw(st.sampled_from([1, 2, q, 2 * q]))):
+        for _ in range(draw(st.sampled_from(exponents))):
             fbar = poly._reduce(poly._product(fbar, coeffs + [1]), q)
     n = len(fbar) - 1
     noise = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    f = IntPolynomial([c + q * r for c, r in zip(fbar[:n], noise)] + [1])
-    return f, q
+    coeffs = [c + q * e for c, e in zip(fbar[:n], noise)] + [1]
+    shift = draw(st.sampled_from([None, 0, q])) if lone else None
+    if shift is not None:
+        # f(r) = 0 mod q, so this keeps f mod q
+        coeffs[0] += shift - poly._value(coeffs, r) % (q * q)
+    return IntPolynomial(coeffs), q
 
 
 class TestDedekind:
@@ -306,12 +387,70 @@ class TestDedekind:
         assert dedekind_divides_index(IntPolynomial([-1, -1, 0, 1]), 23) is False
 
     @given(_planted_multiplicity_cases())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_textbook_criterion(self, case):
         f, q = case
         assume(f.degree >= 2 and poly.discriminant(f) != 0)
         want = textbook_dedekind(f, q)
         assert dedekind_divides_index(f, q) is want
+
+    @pytest.mark.parametrize(
+        "coeffs, q, want",
+        [
+            # q > deg f: (x - 1)^2 + 25 and (x - 1)^2 + 5 at q = 5
+            ([26, -2, 1], 5, True),
+            ([6, -2, 1], 5, False),
+            # r = 0 at a large q: x^2 + q^2 (theta = q i) and x^2 + q
+            ([10007**2, 0, 1], 10007, True),
+            ([10007, 0, 1], 10007, False),
+            # 3 <= q <= deg f: x^2 (x + 1) + 9 and + 3 at q = 3
+            ([9, 0, 1, 1], 3, True),
+            ([3, 0, 1, 1], 3, False),
+            # (x - 1)^2 (x^2 + 1) + 9 and + 3 at q = 3: f(1) = 9, 3
+            ([10, -2, 2, -2, 1], 3, True),
+            ([4, -2, 2, -2, 1], 3, False),
+        ],
+    )
+    def test_lone_double_root_is_one_evaluation(self, monkeypatch, coeffs, q, want):
+        f = IntPolynomial(coeffs)
+        assert poly.discriminant(f) != 0
+        assert textbook_dedekind(f, q) is want
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a lone double root needs no product")
+
+        monkeypatch.setattr(poly, "_product", forbidden)
+        assert dedekind_divides_index(f, q) is want
+
+    @pytest.mark.parametrize(
+        "coeffs, q, roots",
+        [
+            ([26, -2, 1], 5, 0),  # lone double root, q > deg f
+            ([9, 0, 1, 1], 3, 0),  # lone double root, q <= deg f
+            ([1, 3, 1], 7, 0),  # f squarefree mod q
+            ([11, -12, 13, -6, 1], 7, 0),  # (x-1)^2 (x-2)^2 mod 7, q > deg f
+            ([3, 0, 1, 2, 1], 3, 0),  # x^2 (x+1)^2 mod 3, q <= deg f
+            # (x + 1)^2 mod 2: the multiplicity is a multiple of q, so the
+            # squarefree split differentiates the q-th root x + 1 as well
+            ([-5, 0, 1], 2, 1),
+        ],
+    )
+    def test_derivative_of_f_is_taken_once(self, monkeypatch, coeffs, q, roots):
+        calls = []
+        derivative = poly._derivative
+
+        def counting(c, q):
+            calls.append(list(c))
+            return derivative(c, q)
+
+        monkeypatch.setattr(poly, "_derivative", counting)
+        f = IntPolynomial(coeffs)
+        want = textbook_dedekind(f, q)
+        assert dedekind_divides_index(f, q) is want
+        fbar = poly._reduce(coeffs, q)
+        assert calls[0] == fbar
+        assert len(calls) == 1 + roots
+        assert all(len(c) < len(fbar) for c in calls[1:])
 
     @pytest.mark.parametrize("q", [1, 4, 9, 15, -5])
     def test_rejects_non_prime_q(self, q):
