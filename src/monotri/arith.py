@@ -1,7 +1,9 @@
 """Arbitrary-precision integer primitives.
 
 Primality, bounded factorization, squarefree testing, valuations, exact
-square roots and the walk over the primes.  One sieve table serves
+square roots and the walk over the primes.  A factorization is the
+{prime: exponent} dict of |n|; one cut short by rho's budget is the same
+dict, holding every prime proven so far.  One sieve table serves
 trial division (the primes up to factorize's trial bound, before
 Pollard-Brent rho), the walk and is_prime, which answers an n up to the
 table's limit by one bisection into it; a larger bound re-sieves it whole,
@@ -24,11 +26,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import compress, islice
 
 __all__ = [
-    "FactoredInteger",
     "FactorizationBudgetExceeded",
     "NotPrime",
     "is_prime",
@@ -88,8 +88,9 @@ _trial_table = (1, [])
 class FactorizationBudgetExceeded(Exception):
     """Raised when the factoring effort bound is hit; never a wrong answer.
 
-    `factorize` sets `factors`, a dict of the primes it had proven before
-    the budget ran out; each exponent is a lower bound.
+    `factorize` sets `factors`, its {prime: exponent} dict as it stood when
+    the budget ran out: every prime it had proven, each exponent a lower
+    bound.
     """
 
 
@@ -193,26 +194,6 @@ def primes():
         done = len(table)
         # By Bertrand's postulate the new table holds a prime past the old.
         table = _trial_primes(2 * table[-1])[0]
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """Sign plus prime -> exponent map; zero is sign=0 with empty map."""
-
-    sign: int
-    factors: dict = field(default_factory=dict)
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors.items():
-            v *= p**e
-        return v
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for e in self.factors.values())
-
-    def exponent_of(self, q: int) -> int:
-        return self.factors.get(q, 0)
 
 
 def _cite(n, noun="integer"):
@@ -323,8 +304,8 @@ def factorize(
     n: int,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> FactoredInteger:
-    """Full prime factorization of n != 0.
+) -> dict[int, int]:
+    """The prime factorization of |n|, n != 0, as {prime: exponent}.
 
     2 is always divided out.  Then n is divided by each odd prime p <=
     trial_bound, from the cached sieve table, until p*p exceeds what is
@@ -340,7 +321,8 @@ def factorize(
     meet the same deterministic is_prime (or, below d*d, be taken as
     prime unasked), never rho.  Every prime factor of what is left is
     >= d, the next untried candidate, so it, and each factor rho splits
-    off it, is prime if it is below d*d.  Pollard-Brent rho runs with an
+    off it, is prime if it is below d*d, and is recorded as soon as it is
+    found rather than when it is reached.  Pollard-Brent rho runs with an
     iteration budget; budget exhaustion raises rather than guessing.  The
     rho stage keeps (cofactor, multiplicity) pairs.  A cofactor m >= d*d
     that is r^k for a prime k <= log m / log d goes on as r with k times
@@ -348,11 +330,11 @@ def factorize(
     rho splits the rest, and a factor g that it finds has its whole power
     divided out at once.  So a repeated factor takes at most one rho
     call, and a power of a prime none.  An exhausted budget raises
-    FactorizationBudgetExceeded with the primes proven so far attached.
+    FactorizationBudgetExceeded with the dict so far attached: every prime
+    proven, rho's split-off factors below d*d among them.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
     n = abs(n)
     factors: dict[int, int] = {}
 
@@ -387,16 +369,23 @@ def factorize(
                 add(n)
                 n = 1
     rng = None  # seeded by n, made when rho first runs
-    stack = [(n, 1)] if n > 1 else []
-    while stack:
-        m, e = stack.pop()
+    stack = []
+
+    def push(m, e):
+        # m's prime factors are all >= d, so below d*d it is prime.
         if m < d * d:
             add(m, e)
-            continue
+        else:
+            stack.append((m, e))
+
+    if n > 1:
+        push(n, 1)
+    while stack:
+        m, e = stack.pop()
         # m = r^k has r >= d, so d^k <= m bounds k.
         root, k = _perfect_power(m, (m.bit_length() - 1) // (d.bit_length() - 1))
         if k > 1:
-            stack.append((root, k * e))
+            push(root, k * e)
             continue
         if is_prime(m):
             add(m, e)
@@ -408,17 +397,17 @@ def factorize(
             exc.factors = factors
             raise
         rest, k = _divide_out(m, g)
-        stack.append((g, k * e))
+        push(g, k * e)
         if rest > 1:
-            stack.append((rest, e))
-    return FactoredInteger(sign, factors)
+            push(rest, e)
+    return factors
 
 
 def is_squarefree(n: int, **budget) -> bool:
     """True iff no prime square divides |n|."""
     if n == 0:
         raise ValueError("0 is not squarefree or squareful")
-    return factorize(n, **budget).is_squarefree()
+    return all(e == 1 for e in factorize(n, **budget).values())
 
 
 def valuation(n: int, q: int) -> int:

@@ -148,7 +148,7 @@ class RowWriter:
         return v
 
 
-def _add_common(sub):
+def _add_common(sub, budget=True):
     sub.add_argument(
         "--format",
         choices=["human", "jsonl", "csv"],
@@ -156,9 +156,10 @@ def _add_common(sub):
         help="output format for data rows",
     )
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument(
-        "--budget", type=int, help="override the factoring iteration budget"
-    )
+    if budget:
+        sub.add_argument(
+            "--budget", type=int, help="override the factoring iteration budget"
+        )
 
 
 def _config_from(args) -> Config:
@@ -194,6 +195,8 @@ def cmd_enumerate(args) -> int:
         if not arith.is_prime(p) or p < 3:
             raise UsageError(f"p={p} is not an odd prime")
     b_set = sorted(set(args.b))
+    if 0 in b_set:
+        raise UsageError("b=0: need a*b != 0")
     lo, hi = args.a_min, args.a_max
     if lo > hi:
         raise UsageError("empty a range")
@@ -202,8 +205,6 @@ def cmd_enumerate(args) -> int:
             if a == 0:
                 continue
             for b in b_set:
-                if b == 0:
-                    continue
                 fam = TrinomialFamily(p, a, b)
                 if args.p_divides_delta and fam.delta % p != 0:
                     continue
@@ -307,7 +308,7 @@ def run_crosscheck(corpus, budget: dict, seed: int = 0):
     details = []
     for t in corpus:
         try:
-            factors = arith.factorize(t.disc, **budget).factors
+            factors = arith.factorize(t.disc, **budget)
         except FactorizationBudgetExceeded as exc:
             skipped += 1
             factors = exc.factors
@@ -348,7 +349,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_galois_sample(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config)
     fam = _parse_family(args)
     prime_budget = (
         cfg.prime_budget if args.prime_budget is None else args.prime_budget
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-a", type=int, required=True)
     s.add_argument("-b", type=int, required=True)
     s.add_argument("--prime-budget", type=int, default=None)
-    _add_common(s)
+    _add_common(s, budget=False)
     s.set_defaults(func=cmd_galois_sample)
 
     return ap

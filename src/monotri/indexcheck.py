@@ -254,9 +254,8 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     5. f'(r) = 0 mod q gives f(r + qt) = f(r) mod q^2, so every lift of r
        gives the same answer.
 
-    Otherwise h = c when q > deg f (every e is below q, so the second
-    product in 1 is empty), and h = f / rad(f) from the squarefree split
-    when q <= deg f (`poly._radical`, handed c).
+    Otherwise g = rad(f) comes from the squarefree split (`poly._radical`,
+    handed c), and h = f / g.
     """
     if q < 2 or not arith.is_prime(q):
         raise arith.NotPrime(f"{q} is not prime")
@@ -268,7 +267,7 @@ def dedekind_divides_index(f: IntPolynomial, q: int) -> bool:
     if len(c) == 2:
         return poly._value(f.coeffs, -c[0] % q) % (q * q) == 0
     gbar = poly._radical(fbar, q, c)
-    hbar = c if len(fbar) <= q else poly._quotient(fbar, gbar, q)
+    hbar = poly._quotient(fbar, gbar, q)
     # g and h are monic, so deg gh = deg f
     gh = poly._product(gbar, hbar)
     diff = [x - y for x, y in zip(gh, f.coeffs)]
@@ -299,5 +298,5 @@ def trinomial_is_monogenic(t: GeneralTrinomial, **budget) -> MonogenicityReport:
         raise Reducible("zero discriminant: repeated roots")
     fac = arith.factorize(t.disc, **budget)
     return MonogenicityReport(tuple(
-        jks_index_free(t, q) for q in sorted(fac.factors) if fac.factors[q] >= 2
+        jks_index_free(t, q) for q in sorted(fac) if fac[q] >= 2
     ))

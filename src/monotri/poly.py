@@ -9,10 +9,9 @@ Over F_q a polynomial is a plain reduced coefficient list, constant term
 first, with no trailing zeros; there is no other F_q type.  Each routine
 has one implementation: product, remainder with delayed reduction,
 quotient, Euclid's gcd, powering, the squarefree split, the radical
-(product of the distinct monic irreducible factors: f / gcd(f, f') when
-deg f < q, else from the squarefree split; the Dedekind oracle needs
-nothing more) and the
-distinct-degree split behind `degree_pattern`.  The full factorization
+(product of the distinct monic irreducible factors, from the squarefree
+split; the Dedekind oracle needs nothing more) and the distinct-degree
+split behind `degree_pattern`.  The full factorization
 `factor_mod` (those splits + the Cantor-Zassenhaus equal-degree split) is
 used by tests.
 
@@ -246,19 +245,11 @@ def _radical(f, q, c=None):
     """The product of the distinct monic irreducible factors of the
     nonzero reduced list f over F_q.
 
-    When deg f < q every multiplicity e is below q, so the derivative
-    keeps each irreducible g^e dividing f to exactly g^(e-1) and
-    rad(f) = f / gcd(f, f'), one gcd.  Otherwise the squarefree parts
-    are pairwise coprime and each is the product of the irreducibles of
-    one multiplicity, so their product is rad(f); no factor is split
-    further.  A caller that already holds c = gcd(f, f') of a monic f
-    passes it in, and that gcd is not taken again.
+    The squarefree parts are pairwise coprime and each is the product of
+    the irreducibles of one multiplicity, so their product is rad(f); no
+    factor is split further.  A caller that already holds c = gcd(f, f')
+    of a monic f passes it in, and that gcd is not taken again.
     """
-    if c is None:
-        f = _monic(f, q)
-        c = _gcd(f, _derivative(f, q), q)
-    if len(f) <= q:
-        return _quotient(f, c, q)
     rad = [1]
     for _, part in _squarefree_parts(f, q, c):
         rad = _reduce(_product(rad, part), q)

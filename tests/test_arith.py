@@ -246,7 +246,6 @@ def odd_d_factorize(n, trial_bound, rho_budget):
     Unknown."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
     n = abs(n)
     factors = {}
 
@@ -263,10 +262,10 @@ def odd_d_factorize(n, trial_bound, rho_budget):
             n //= d
         d += 2
     if n == 1:
-        return arith.FactoredInteger(sign, factors)
+        return factors
     if d * d > n or is_prime(n):
         add(n)
-        return arith.FactoredInteger(sign, factors)
+        return factors
 
     # rho's stage: a perfect power m = r^k goes on as r, for the least k
     # that has an exact root; each factor g rho finds loses its whole
@@ -291,7 +290,7 @@ def odd_d_factorize(n, trial_bound, rho_budget):
         stack.append((g, k * e))
         if m > 1:
             stack.append((m, e))
-    return arith.FactoredInteger(sign, factors)
+    return factors
 
 
 TRIAL_BOUNDS = [0, 1, 2, 3, 4, 50, 1000, 100_000]
@@ -358,11 +357,10 @@ class _ReadCounter(list):
 
 class TestFactorize:
     def test_simple(self):
-        f = factorize(12)
-        assert f.sign == 1 and f.factors == {2: 2, 3: 1}
+        assert factorize(12) == {2: 2, 3: 1}
 
     def test_two_is_divided_out_below_every_bound(self):
-        assert factorize(12, trial_bound=0).factors == {2: 2, 3: 1}
+        assert factorize(12, trial_bound=0) == {2: 2, 3: 1}
 
     @given(_trial_division_cases())
     @settings(max_examples=300, deadline=None)
@@ -430,7 +428,7 @@ class TestFactorize:
             return pollard_brent(m, budget, rng)
 
         monkeypatch.setattr(arith, "_pollard_brent", counting)
-        assert factorize(n).factors == factors
+        assert factorize(n) == factors
         assert len(seen) == calls
 
     @pytest.mark.parametrize(
@@ -470,7 +468,7 @@ class TestFactorize:
 
         monkeypatch.setattr(arith, "_trial_primes", counted)
         monkeypatch.setattr(arith, "is_prime", lambda m: tested.append(m) or prime(m))
-        assert factorize(n).factors == factors
+        assert factorize(n) == factors
         table, k = tables[0]
         assert table.read == (k if reads is None else reads)
         assert len(tested) == tests
@@ -484,7 +482,7 @@ class TestFactorize:
     def test_power_of_a_power_comes_apart(self, r, k1, k2):
         # r^(k1 k2) is (r^k1)^k2: the least prime exponent is taken off
         # first and the other in a second root step.
-        assert factorize(r ** (k1 * k2)).factors == {r: k1 * k2}
+        assert factorize(r ** (k1 * k2)) == {r: k1 * k2}
 
     def test_threads_share_the_prime_table_safely(self, monkeypatch):
         # One thread keeps dropping the cached table while the others
@@ -532,16 +530,15 @@ class TestFactorize:
 
     def test_negative_discriminant_value(self):
         # -19683 is the family discriminant at (p,a,b) = (3,1,1)
-        f = factorize(-19683)
-        assert f.sign == -1 and f.factors == {3: 9}
+        assert factorize(-19683) == {3: 9}
 
     def test_prime_power(self):
-        assert factorize(5**15).factors == {5: 15}
+        assert factorize(5**15) == {5: 15}
 
     def test_large_p_family_discriminant(self):
         # (p, a, b) = (1009, 3, 1): disc f = 1009^2018 * 5^1009, 22,480 bits
         f = factorize(swan_disc_f(TrinomialFamily(1009, 3, 1)))
-        assert f.sign == 1 and f.factors == {5: 1009, 1009: 2018}
+        assert f == {5: 1009, 1009: 2018}
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -559,6 +556,15 @@ class TestFactorize:
             factorize(n, trial_bound=100, rho_budget=50)
         assert info.value.factors == {2: 5, 3: 4, 97: 1}
         assert str(info.value) == f"rho budget 50 exhausted on {cofactor}"
+
+    def test_budget_exceeded_keeps_the_primes_rho_split_off(self):
+        # rho splits 10007 and 10009 off before the Mersenne pair uses up
+        # its budget; both are below 101^2, so proven prime at once.
+        cofactor = (2**89 - 1) * (2**127 - 1)
+        with pytest.raises(FactorizationBudgetExceeded) as info:
+            factorize(10007 * 10009 * cofactor, trial_bound=100, rho_budget=1000)
+        assert info.value.factors == {10007: 1, 10009: 1}
+        assert str(info.value) == f"rho budget 1000 exhausted on {cofactor}"
 
     @given(st.integers(2, 10**6), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -596,15 +602,15 @@ class TestFactorize:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, n):
         f = factorize(n)
-        assert f.value() == n
-        assert all(is_prime(p) for p in f.factors)
-        assert all(e >= 1 for e in f.factors.values())
+        assert math.prod(p**e for p, e in f.items()) == n
+        assert all(is_prime(p) for p in f)
+        assert all(e >= 1 for e in f.values())
 
     @given(st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=100, deadline=None)
     def test_squarefree_matches_exponents(self, n):
         f = factorize(n)
-        assert is_squarefree(n) == all(e == 1 for e in f.factors.values())
+        assert is_squarefree(n) == all(e == 1 for e in f.values())
 
 
 _PRIMES_TO_61 = [q for q in PRIMES_TO_100000 if q <= 61]
@@ -681,7 +687,7 @@ class TestValuation:
             m //= q
             expected += 1
         assert valuation(n, q) == expected
-        assert factorize(n).exponent_of(q) == expected
+        assert factorize(n).get(q, 0) == expected
 
 
 class TestIsSquarefree:
@@ -712,5 +718,5 @@ class TestExactSquareRoot:
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_factorization(self, n):
         f = factorize(n)
-        even = all(e % 2 == 0 for e in f.factors.values())
+        even = all(e % 2 == 0 for e in f.values())
         assert (exact_square_root(n) is not None) == even

@@ -355,7 +355,7 @@ class TestQuadraticMonogenic:
                     continue
                 f = IntPolynomial([b, a, 1])
                 expect = True
-                for q in arith.factorize(d).factors:
+                for q in arith.factorize(d):
                     if d % (q * q) == 0 and dedekind_divides_index(f, q):
                         expect = False
                 assert quadratic_is_monogenic(a, b) == expect, (a, b)

@@ -236,6 +236,16 @@ class TestEnumerateCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("bs", [["0"], ["1", "0"]])
+    def test_zero_b_rejected(self, capsys, bs):
+        # as classify -b 0 is: a zero b is no family, not an empty grid
+        code, out, err = run(
+            capsys, "enumerate", "-p", "3", "--a-min", "1", "--a-max", "2",
+            *(arg for b in bs for arg in ("-b", b)),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: b=0")
+
     def test_unknown_case_rejected(self, capsys):
         # a misspelt label would otherwise filter out every row, silently
         code, out, err = run(
@@ -424,6 +434,15 @@ class TestGaloisSample:
         )
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: prime budget must be at least 1")
+
+    def test_budget_is_not_an_option(self, capsys):
+        # galois-sample factors nothing, so a rho budget would go unread
+        code, out, err = run(
+            capsys, "galois-sample", "-p", "3", "-a", "1", "-b", "1",
+            "--prime-budget", "100", "--budget", "7",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --budget 7" in err
 
 
 class TestConfig:

@@ -504,7 +504,7 @@ class TestOracleEquivalence:
             except FactorizationBudgetExceeded:
                 continue
             f = t.polynomial()
-            for q in sorted(fac.factors):
+            for q in sorted(fac):
                 jks = jks_index_free(t, q)
                 ded = dedekind_divides_index(f, q)
                 assert jks.divides_index == ded, (t, q)
@@ -519,7 +519,7 @@ class TestOracleEquivalence:
         compared = 0
         for t in corpus:
             f = t.polynomial()
-            for q in sorted(arith.factorize(t.disc).factors):
+            for q in sorted(arith.factorize(t.disc)):
                 jks = jks_index_free(t, q)
                 assert jks.divides_index == dedekind_divides_index(f, q), (t, q)
                 compared += 1

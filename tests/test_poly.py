@@ -233,8 +233,8 @@ def _powered_products(draw):
 @st.composite
 def _radical_cases(draw):
     """(q, f) with f a unit times monic factors over F_q raised to
-    multiplicities up to 7, deg f <= 12: both deg f < q, where the radical
-    is one gcd, and deg f >= q for q <= 7."""
+    multiplicities up to 7, deg f <= 12: both deg f < q, and deg f >= q
+    for q <= 7."""
     q = draw(st.sampled_from([2, 3, 5, 7, 13, 101, 2**31 - 1]))
     f = [draw(st.integers(1, q - 1))]
     for _ in range(draw(st.integers(0, 4))):
