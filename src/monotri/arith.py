@@ -5,11 +5,12 @@ square roots and the walk over the primes.  A factorization is the
 {prime: exponent} dict of |n|; one cut short by rho's budget is the same
 dict, holding every prime proven so far.  One sieve table serves
 trial division (the primes up to factorize's trial bound, before
-Pollard-Brent rho), the walk and is_prime, which answers an n up to the
-table's limit by one bisection into it; a larger bound re-sieves it whole,
-to at least twice its old limit.  That table is the
-module's only state; it is replaced whole, never edited, so every
-function here is safe to call from any number of threads.
+Pollard-Brent rho), the walk, is_prime, which answers an n up to the
+table's limit by one bisection into it, and the screen of odd primes below
+1000, which reads it when the module is imported; a larger bound re-sieves
+it whole, to at least twice its old limit.  That table is the module's
+only state; it is replaced whole, never edited, so every function here is
+safe to call from any number of threads.
 Factorization and valuation remove a prime's whole power in O(log e) big
 divisions, not e; each factor Pollard-Brent rho splits off loses its whole
 power the same way, so a repeated factor costs one rho call, not one per
@@ -68,20 +69,11 @@ _LARGE_ROUNDS = 64
 # Cofactors longer than this are not written out in full in an Unknown.
 _CITED_BITS = 4096
 
-# The odd primes below 1000, multiplied.  Trial division finds a factor
-# this shares with a cofactor within 167 steps, which cost less than the
-# Miller-Rabin round that would fail to prove the cofactor prime.
-_SCREEN = math.prod(
-    p
-    for p in range(3, 1000, 2)
-    if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
-)
-
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 21
 
 # (limit, every prime <= limit): the trial divisors and the prime walk,
-# grown on demand.
+# grown on demand; _SCREEN below seeds it at import.
 _trial_table = (1, [])
 
 
@@ -160,11 +152,12 @@ def _proven_prime(n, floor):
 def _trial_primes(bound):
     """(table, k): the first k entries of table are the primes <= bound.
 
-    The table starts empty.  When a larger bound is asked for, one sieve of
-    Eratosthenes over [2, max(bound, 2 limit)] makes a new table, so it at
-    least doubles and the re-sieving costs O(bound log log bound) in all.
-    A smaller bound reads a prefix.  The table is replaced whole, never
-    edited, so a reader holding an old one stays correct.
+    The table is seeded at import with the primes up to 999, for _SCREEN.
+    When a larger bound is asked for, one sieve of Eratosthenes over [2,
+    max(bound, 2 limit)] makes a new table, so it at least doubles and the
+    re-sieving costs O(bound log log bound) in all.  A smaller bound reads
+    a prefix.  The table is replaced whole, never edited, so a reader
+    holding an old one stays correct.
     """
     global _trial_table
     limit, table = _trial_table
@@ -178,6 +171,13 @@ def _trial_primes(bound):
         table = list(compress(range(limit + 1), sieve))
         _trial_table = (limit, table)
     return table, bisect_right(table, bound)
+
+
+# The odd primes below 1000, multiplied, read from the table.  Trial
+# division finds a factor this shares with a cofactor within 167 steps,
+# which cost less than the Miller-Rabin round that would fail to prove the
+# cofactor prime.
+_SCREEN = math.prod(p for p in _trial_primes(999)[0] if 2 < p < 1000)
 
 
 def primes():

@@ -30,7 +30,6 @@ __all__ = [
     "GaloisKind",
     "GaloisClass",
     "Classification",
-    "UnsupportedB",
     "swan_disc_f",
     "family_is_irreducible",
     "galois_group",
@@ -42,10 +41,6 @@ __all__ = [
     "theorem_item",
     "theorem_membership",
 ]
-
-
-class UnsupportedB(ValueError):
-    """|b| != 1 where the case ledger requires b = +-1."""
 
 
 @dataclass(frozen=True)
@@ -253,13 +248,17 @@ def galois_group(fam: TrinomialFamily) -> GaloisClass:
     return GaloisClass(kind, p)
 
 
-def case_label(fam: TrinomialFamily) -> CaseKind:
-    """Which of the delta = +-p y^2 / neither cases (p | delta), or p∤delta."""
+def case_label(fam: TrinomialFamily) -> CaseKind | None:
+    """The ledger's case: p ∤ delta, or, for p | delta and b = +-1, whether
+    delta = +p y^2, -p y^2 or neither.
+
+    The ledger has no case for p | delta with |b| != 1, and None says so.
+    """
     b = fam.b
     if fam.delta % fam.p != 0:
         return CaseKind.P_NOT_DIVIDING_DELTA
     if b not in (1, -1):
-        raise UnsupportedB(f"case ledger needs b = +-1, got b={b}")
+        return None
     split = fam.p_split
     if split is None:
         return CaseKind.OMEGA_B1 if b == 1 else CaseKind.OMEGA_BNEG1
@@ -285,7 +284,7 @@ def _squarefree_reasons(a: int, b: int, **budget):
             return False, ["2|a but 4∤a forbidden for b=1"]
         g = math.gcd(a, 2)
         reasons = [
-            f"a{k:+d}={a + k} not squarefree"
+            f"a{k:+d}={arith._cite(a + k)} not squarefree"
             for k in (-2, 2)
             if not arith.is_squarefree((a + k) // g, **budget)
         ]
@@ -295,8 +294,8 @@ def _squarefree_reasons(a: int, b: int, **budget):
         return False, ["4|a forbidden for b=-1"]
     w = (a * a + 4) // (4 if a % 2 == 0 else 1)
     if not arith.is_squarefree(w, **budget):
-        return False, [f"W=(a^2+4)/gcd(a,2)^2={w} not squarefree"]
-    return True, [f"W={w} squarefree"]
+        return False, [f"W=(a^2+4)/gcd(a,2)^2={arith._cite(w)} not squarefree"]
+    return True, [f"W={arith._cite(w)} squarefree"]
 
 
 def quadratic_is_monogenic(a: int, b: int, **budget) -> bool:
@@ -323,7 +322,7 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
         raise Reducible(f"family {fam} is reducible over Q")
     p, a, b = fam.p, fam.a, fam.b
     if b not in (1, -1):
-        return False, [f"g(0)=b^p={fam.trinomial.B} not squarefree"]
+        return False, [f"g(0)=b^p={arith._cite(fam.trinomial.B)} not squarefree"]
     reasons = ["g(0) squarefree"]
     verdict = indexcheck.jks_index_free(fam.trinomial, p)
     if verdict.divides_index:
@@ -341,8 +340,9 @@ def kkr_monogenic(fam: TrinomialFamily, **budget):
     return not verdict.divides_index and quad_ok, reasons
 
 
-def theorem_item(case: CaseKind, p: int) -> str:
-    """Which closed-form item of the classification covers this case."""
+def theorem_item(case: CaseKind | None, p: int) -> str:
+    """Which closed-form item of the classification covers this case;
+    "generic" for p ∤ delta and for no case."""
     if case in (CaseKind.GAMMA1_B1, CaseKind.GAMMA1_BNEG1):
         return "item1" if p % 4 == 1 else "item3a"
     if case is CaseKind.GAMMA2_B1:
@@ -353,7 +353,11 @@ def theorem_item(case: CaseKind, p: int) -> str:
 
 
 def theorem_membership(fam: TrinomialFamily, **budget) -> bool:
-    """Closed-form monogenicity membership test for p | delta families."""
+    """Closed-form monogenicity membership test for p | delta families.
+
+    Raises ValueError where the ledger gives no closed-form item: when p
+    does not divide delta, and when it has no case (p | delta, |b| != 1).
+    """
     p, a, b = fam.p, fam.a, fam.b
     item = theorem_item(case_label(fam), p)
     if item == "item1":
@@ -365,19 +369,16 @@ def theorem_membership(fam: TrinomialFamily, **budget) -> bool:
     if item == "item3b":
         ok, _ = _squarefree_reasons(a, b, **budget)
         return ok
-    raise ValueError("membership test applies only when p | delta")
+    raise ValueError("membership test needs p | delta and b = +-1")
 
 
 def classify(fam: TrinomialFamily, **budget) -> Classification:
     """Full verdict for one family: irreducibility, case, Galois class,
     monogenicity and (when monogenic) the field discriminant."""
-    d = fam.delta
-    p_divides = d % fam.p == 0
-    # a case label exists iff b = +-1 or p does not divide delta
-    case = case_label(fam) if fam.b in (1, -1) or not p_divides else None
+    case = case_label(fam)
 
     if not fam.irreducible:
-        if arith.exact_square_root(d) is not None:
+        if arith.exact_square_root(fam.delta) is not None:
             reason = "delta is a perfect square: g reducible"
         else:
             reason = "root of g is a p-th power: f reducible"
@@ -387,7 +388,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
     reasons = [] if case is None else [f"case={case.value}"]
     monogenic: bool | None
     try:
-        if p_divides:
+        if case is not CaseKind.P_NOT_DIVIDING_DELTA:
             if case is not None:
                 reasons.append(f"classification {theorem_item(case, fam.p)}")
             monogenic, more = kkr_monogenic(fam, **budget)
@@ -395,7 +396,7 @@ def classify(fam: TrinomialFamily, **budget) -> Classification:
             reasons.append("generic index scan (p does not divide delta)")
             report = indexcheck.trinomial_is_monogenic(fam.trinomial, **budget)
             monogenic = report.monogenic
-            more = [f"q={v.q}: {v.detail}" for v in report.checks]
+            more = [f"q={arith._cite(v.q)}: {v.detail}" for v in report.checks]
         reasons.extend(more)
     except FactorizationBudgetExceeded as exc:
         monogenic = None

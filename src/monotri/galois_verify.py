@@ -31,6 +31,7 @@ from .classify import (
     GaloisKind,
     TrinomialFamily,
     _dickson_trace,
+    # unused; perfbench/test_perfbench.py asserts this module holds the name
     family_is_irreducible,
 )
 from .indexcheck import Reducible
@@ -83,6 +84,10 @@ def element_order_spectrum(kind: GaloisKind, p: int) -> OrderSpectrum:
 def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
     """Record Frobenius orders over the first `prime_budget` unramified primes.
 
+    A reducible family raises `Reducible`.  The verdict is the family's
+    cached `irreducible`, so sampling after `galois_group` on the same
+    family object decides irreducibility once, not twice.
+
     Ramified primes (those dividing p * b * delta) are skipped and not
     counted.  The prime walk is the deterministic increasing one.  Each
     order is read off g = x^2 + a x + b^p mod ell (Lidl-Niederreiter,
@@ -111,7 +116,7 @@ def frobenius_sample(fam: TrinomialFamily, prime_budget: int) -> SampleReport:
     """
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
-    if not family_is_irreducible(fam):
+    if not fam.irreducible:
         raise Reducible(f"family {fam} is reducible over Q")
     p, a, c, d = fam.p, fam.a, fam.trinomial.B, fam.delta
     ramified = p * fam.b * d

@@ -99,7 +99,7 @@ class GeneralTrinomial:
 class IndexVerdict:
     q: int
     divides_index: bool
-    condition_used: str  # one of i..v, or "dedekind"
+    condition_used: str  # the JKS branch that decided: "i" to "v"
     detail: str
 
 
@@ -215,7 +215,8 @@ def jks_index_free(t: GeneralTrinomial, q: int) -> IndexVerdict:
         h2 = _build_h2(A, B, s, Q, q)
         deg = len(poly._gcd(h1, h2, q)) - 1
         free = deg == 0
-        detail = f"(iv): q∤AB, q|m; gcd(H1,H2) mod {q} has degree {deg}"
+        detail = (f"(iv): q∤AB, q|m; gcd(H1,H2) mod {arith._cite(q)} "
+                  f"has degree {deg}")
         return IndexVerdict(q, not free, "iv", detail)
 
     free = t.resolvent % (q * q) != 0

@@ -191,6 +191,10 @@ class TestPrimes:
     def test_default_start(self):
         assert list(islice(primes(), 6)) == [2, 3, 5, 7, 11, 13]
 
+    def test_screen_is_the_odd_primes_below_1000(self):
+        odd = [q for q in PRIMES_TO_100000 if 2 < q < 1000]
+        assert arith._SCREEN == math.prod(odd)
+
     @pytest.mark.parametrize(
         "bounds",
         [

@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,6 @@ from monotri.classify import (
     CaseKind,
     GaloisKind,
     TrinomialFamily,
-    UnsupportedB,
     _dickson_trace,
     _squarefree_reasons,
     case_label,
@@ -317,9 +317,11 @@ class TestCaseLedger:
         assert case_label(TrinomialFamily(3, 4, 2)) is (
             CaseKind.P_NOT_DIVIDING_DELTA
         )
-        # p=3, a=3, b=3: delta = 9-108 = -99, 3 | 99 -> ledger needs |b|=1
-        with pytest.raises(UnsupportedB):
-            case_label(TrinomialFamily(3, 3, 3))
+        # p=3, a=3, b=3: delta = 9-108 = -99, 3 | 99: the ledger has no case
+        fam = TrinomialFamily(3, 3, 3)
+        assert case_label(fam) is None
+        with pytest.raises(ValueError):
+            theorem_membership(fam)
 
     def test_never_gamma2_with_b_negative(self):
         # b = -1 gives delta = a^2 + 4 > 0, so -p y^2 is impossible
@@ -613,13 +615,31 @@ class TestClassify:
         assert c.disc_f == swan_disc_f(fam)
         assert calls == ["general"]
 
+    def test_huge_b_power_is_cited_by_size(self):
+        # b^p = 2^14303 has 4,306 digits, past Python's default limit on
+        # int-to-str conversion; the reason names it by its size instead
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit:
+            limit = sys.get_int_max_str_digits()
+            set_limit(4300)
+        try:
+            c = classify(TrinomialFamily(14303, 6620, 2))
+        finally:
+            if set_limit:
+                set_limit(limit)
+        assert c.case is None and c.monogenic is False
+        assert c.reason == (
+            "g(0)=b^p=a 14304-bit integer ending 0x0000000000000000 "
+            "not squarefree",
+        )
+
     def test_b_not_unit_with_p_dividing_delta(self):
         # p=3, b=3, a=3: delta = -99 divisible by 3, |b| != 1
         c = classify(TrinomialFamily(3, 3, 3))
         assert c.irreducible
         assert c.monogenic is False
         assert c.case is None
-        assert any("not squarefree" in r for r in c.reason)
+        assert c.reason == ("g(0)=b^p=27 not squarefree",)
 
     @given(
         st.sampled_from([3, 5, 7]),

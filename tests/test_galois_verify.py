@@ -318,6 +318,22 @@ class TestFrobeniusSample:
         with pytest.raises(Reducible):
             frobenius_sample(TrinomialFamily(3, 2, 1), 50)
 
+    def test_irreducibility_is_decided_once_with_galois_group(self, monkeypatch):
+        # sampling reads the family's cached verdict, which galois_group
+        # then reads too; the wrapper replaces every module's reference
+        calls = []
+
+        def counting(fam):
+            calls.append(fam)
+            return family_is_irreducible(fam)
+
+        for module in ("classify", "galois_verify"):
+            monkeypatch.setattr(f"monotri.{module}.family_is_irreducible", counting)
+        fam = TrinomialFamily(13, 3, -1)
+        frobenius_sample(fam, 200)
+        galois_group(fam)
+        assert calls == [fam]
+
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             frobenius_sample(TrinomialFamily(3, 1, 1), 0)
